@@ -8,14 +8,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .metric import (
-    Magnitude,
-    MetricKind,
-    activation_coefficient,
-    transform_activations,
-    transform_weights,
-    weight_coefficient,
-)
+from .metric import Magnitude, MetricKind, activation_factor, weight_factor
 from .model import SUB_MODULES, ModelWeights, sub_module_key
 
 
@@ -100,15 +93,8 @@ def alignment_discrepancy(weights: ModelWeights, stats: dict, kind: MetricKind) 
             if key not in stats:
                 raise ValueError(f"missing activation stats for sub-module {key}")
             w_oi = getattr(layer, name).T
-            weight_sum = float(
-                (weight_coefficient(w_oi, kind.alpha) * transform_weights(w_oi, kind.f1)).sum()
-            )
-            activation_sum = float(
-                (
-                    activation_coefficient(stats[key], kind.beta)
-                    * transform_activations(stats[key].v, kind.f2)
-                ).sum()
-            )
+            weight_sum = float(weight_factor(w_oi, kind).sum())
+            activation_sum = float(activation_factor(stats[key], kind).sum())
             entries.append(
                 AlignmentEntry(
                     name=key,

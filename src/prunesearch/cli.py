@@ -23,6 +23,7 @@ _METRIC_HELP = (
     "with canonical names or codes 0..6"
 )
 _SPARSITY_HELP = "sparsity: a ratio in [0,1] (e.g. 0.5) or an N:M pattern (e.g. 4:8, 2:4)"
+_JOBS_HELP = "accepted for compatibility (must be >= 1); evaluation runs on one thread"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,6 +46,16 @@ def _sparsity_arg(text: str) -> SparsitySpec:
         return parse_sparsity(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _jobs_arg(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad job count {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"job count must be >= 1, got {jobs}")
+    return jobs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=350)
     p.add_argument("--pop", type=int, default=24)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs_arg, default=1, help=_JOBS_HELP)
     p.add_argument("--out", required=True, help="results JSON path; a sibling .csv is written too")
     p.set_defaults(func=_cmd_search)
 
@@ -111,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--calib", required=True)
     p.add_argument("--sparsity", type=_sparsity_arg, required=True, help=_SPARSITY_HELP)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs_arg, default=1, help=_JOBS_HELP)
     p.add_argument("--out", required=True, help="results JSON path; a sibling .csv is written too")
     p.set_defaults(func=_cmd_enumerate)
 
@@ -196,12 +207,10 @@ def _cmd_search(args) -> int:
     calib = storage.read_calib(args.calib)
     ctx = make_context(weights, calib, args.sparsity)
     if args.algo == "nsga2":
-        params = SearchParams(
-            population=args.pop, budget=args.budget, seed=args.seed, jobs=args.jobs
-        )
+        params = SearchParams(population=args.pop, budget=args.budget, seed=args.seed)
         result = nsga2_search(ctx, params)
     else:
-        result = random_search(ctx, args.budget, args.seed, jobs=args.jobs)
+        result = random_search(ctx, args.budget, args.seed)
     storage.write_results(result, args.out, _csv_sibling(args.out))
     print(
         f"{result.algorithm}: best {result.best_config} l_div {result.best_l_div!r} "
@@ -214,7 +223,7 @@ def _cmd_enumerate(args) -> int:
     weights = storage.read_model(args.model)
     calib = storage.read_calib(args.calib)
     ctx = make_context(weights, calib, args.sparsity)
-    result = exhaustive_search(ctx, jobs=args.jobs)
+    result = exhaustive_search(ctx)
     storage.write_results(result, args.out, _csv_sibling(args.out))
     print(f"exhaustive: best {result.best_config} l_div {result.best_l_div!r}")
     return 0

@@ -15,6 +15,8 @@ produced, with a diagnostic.
 
 import csv
 import json
+import math
+import os
 import struct
 from dataclasses import asdict
 from pathlib import Path
@@ -62,10 +64,12 @@ def _write_container(path, header: dict, tensors: list[tuple[str, np.ndarray, in
 
 
 def _read_exact(f, count: int, what: str) -> bytes:
-    data = f.read(count)
-    if len(data) != count:
-        raise FormatError(f"truncated file while reading {what}")
-    return data
+    # Sizes come from the file itself, so check them against the bytes left
+    # before reading: a forged size must not become a huge allocation.
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if count > left:
+        raise FormatError(f"truncated file while reading {what}: {count} bytes declared, {left} left")
+    return f.read(count)
 
 
 def _read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -97,10 +101,7 @@ def _read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
             if dtype_code not in _DTYPES:
                 raise FormatError(f"unknown dtype code {dtype_code} for tensor {name!r}")
             dtype = _DTYPES[dtype_code]
-            n_items = 1
-            for dim in dims:
-                n_items *= dim
-            payload = _read_exact(f, n_items * dtype.itemsize, f"payload of {name}")
+            payload = _read_exact(f, math.prod(dims) * dtype.itemsize, f"payload of {name}")
             tensors[name] = np.frombuffer(payload, dtype=dtype).reshape(dims)
         if f.read(1):
             raise FormatError("trailing bytes after last tensor")
@@ -165,6 +166,8 @@ def read_model(path) -> ModelWeights:
         array = tensors[name]
         if array.shape != shape:
             raise FormatError(f"tensor {name!r} has shape {array.shape}, expected {shape}")
+        if not np.isfinite(array).all():
+            raise FormatError(f"tensor {name!r} holds non-finite values")
         return array.astype(np.float64)
 
     dims = {"d_model": config.d_model, "d_ff": config.d_ff}
@@ -263,6 +266,9 @@ def read_stats(path) -> ActivationStats:
             l1_arr = np.asarray(l1, dtype=np.float64)
         except (TypeError, ValueError):
             raise FormatError(f"stats[{key!r}]: v and l1 must contain only numbers") from None
+        for field, arr in (("v", v_arr), ("l1", l1_arr)):
+            if not (np.isfinite(arr) & (arr >= 0.0)).all():
+                raise FormatError(f"stats[{key!r}].{field}: values must be finite and nonnegative")
         stats[key] = SubModuleStats(v=v_arr, l1=l1_arr, token_count=entry["token_count"])
     if not stats:
         raise FormatError(f"{path}: stats document is empty")

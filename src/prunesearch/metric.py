@@ -203,17 +203,29 @@ def transform_activations(v: np.ndarray, transform: Transform) -> np.ndarray:
     return _elementwise(v, transform)
 
 
+def weight_factor(w: np.ndarray, config: MetricConfig) -> np.ndarray:
+    """The weight side alpha(|W|) * F1(|W|), output x input."""
+    return weight_coefficient(w, config.alpha) * transform_weights(w, config.f1)
+
+
+def activation_factor(stats: SubModuleStats, config: MetricConfig) -> np.ndarray:
+    """The activation side beta(v) * F2(v), one value per input feature."""
+    return activation_coefficient(stats, config.beta) * transform_activations(stats.v, config.f2)
+
+
 def score(w: np.ndarray, stats: SubModuleStats, kind: MetricKind) -> np.ndarray:
-    """Importance scores for an output x input weight matrix."""
-    if isinstance(kind, Magnitude):
-        return np.abs(w)
+    """Importance scores for an output x input weight matrix.
+
+    The stats must cover every input column for every kind, magnitude
+    included, so stats from a different model are rejected.
+    """
     if stats.v.size != w.shape[1]:
         raise ValueError(
             f"stats cover {stats.v.size} input features but weight matrix has {w.shape[1]} columns"
         )
-    weight_part = weight_coefficient(w, kind.alpha) * transform_weights(w, kind.f1)
-    act_part = activation_coefficient(stats, kind.beta) * transform_activations(stats.v, kind.f2)
-    return weight_part * act_part[None, :]
+    if isinstance(kind, Magnitude):
+        return np.abs(w)
+    return weight_factor(w, kind) * activation_factor(stats, kind)[None, :]
 
 
 PRESET_NAMES = ("magnitude", "wanda", "ria", "optishear-l2-gsm8k", "optishear-l3-gsm8k")

@@ -7,7 +7,7 @@ the prunable sub-modules; embeddings, norm gains, and the tied output head are
 never pruned. Weight matrices are stored input x output and applied as x @ W.
 
 Forward passes are pure functions of (weights, tokens); weights are treated as
-immutable after construction, so concurrent forwards may share them.
+immutable after construction.
 """
 
 from dataclasses import dataclass
@@ -68,18 +68,6 @@ class ModelWeights:
     position_embedding: np.ndarray  # max_seq_len x d_model
     layers: list[LayerWeights]
     final_norm: np.ndarray  # d_model
-
-    def sub_module(self, layer: int, name: str) -> np.ndarray:
-        if name not in SUB_MODULES:
-            raise ValueError(f"unknown sub-module name: {name!r}")
-        return getattr(self.layers[layer], name)
-
-    def sub_module_keys(self) -> list[str]:
-        return [
-            sub_module_key(i, name)
-            for i in range(self.config.n_layers)
-            for name in SUB_MODULES
-        ]
 
 
 @dataclass(eq=False)

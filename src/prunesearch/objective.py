@@ -6,9 +6,7 @@ states. Any positive normalization preserves the ranking of configs; this one
 keeps values comparable across calibration sizes.
 """
 
-import threading
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,8 +73,6 @@ def collect_activation_stats(weights: ModelWeights, calib: CalibrationSet) -> Ac
 @dataclass(frozen=True)
 class Fitness:
     l_div: float
-    kind: MetricKind | None = None
-    seconds: float = field(default=0.0, compare=False)  # wall time, excluded from equality
 
     def __post_init__(self):
         if not np.isfinite(self.l_div) or self.l_div < 0.0:
@@ -98,22 +94,21 @@ def divergence(dense_hidden: list[np.ndarray], pruned: ModelWeights, calib: Cali
         raise ValueError(
             f"cache holds {len(dense_hidden)} sequences, calibration has {len(calib.sequences)}"
         )
-    start = time.perf_counter()
     total = 0.0
     for ref, seq in zip(dense_hidden, calib.sequences):
         h = forward(pruned, seq).final_hidden
         if h.shape != ref.shape:
             raise ValueError(f"cached hidden shape {ref.shape} does not match forward {h.shape}")
         total += token_mean_sqdist(ref, h)
-    return Fitness(l_div=total / len(calib.sequences), seconds=time.perf_counter() - start)
+    return Fitness(l_div=total / len(calib.sequences))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class EvalContext:
-    """Shared, effectively immutable inputs for scoring candidate configs.
+    """Shared inputs for scoring candidate configs.
 
     The dense hidden cache and activation stats are computed once and reused
-    for every candidate. `evaluations` counts completed evaluate_config calls.
+    for every candidate.
     """
 
     weights: ModelWeights
@@ -121,12 +116,6 @@ class EvalContext:
     dense_hidden: list[np.ndarray]
     calib: CalibrationSet
     spec: SparsitySpec
-    evaluations: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def count_evaluation(self) -> None:
-        with self._lock:
-            self.evaluations += 1
 
 
 def make_context(weights: ModelWeights, calib: CalibrationSet, spec: SparsitySpec) -> EvalContext:
@@ -141,8 +130,5 @@ def make_context(weights: ModelWeights, calib: CalibrationSet, spec: SparsitySpe
 
 def evaluate_config(ctx: EvalContext, kind: MetricKind) -> Fitness:
     """Score -> mask -> pruned copy -> divergence; pure in (ctx, kind)."""
-    start = time.perf_counter()
     pruned, _ = prune_model(ctx.weights, ctx.stats, kind, ctx.spec)
-    fit = divergence(ctx.dense_hidden, pruned, ctx.calib)
-    ctx.count_evaluation()
-    return Fitness(l_div=fit.l_div, kind=kind, seconds=time.perf_counter() - start)
+    return divergence(ctx.dense_hidden, pruned, ctx.calib)

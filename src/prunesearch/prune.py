@@ -80,13 +80,18 @@ MaskSet = dict[str, Mask]
 def build_mask(scores: np.ndarray, spec: SparsitySpec) -> Mask:
     """Keep the highest-scoring entries allowed by the sparsity constraint.
 
-    Unstructured: per row, keep cols - floor(ratio*cols) entries. n:m: per
-    aligned group of m consecutive columns, keep the n largest. Equal scores
-    keep the lower column index (stable descending sort).
+    Unstructured: per row, drop floor(ratio*cols) entries, where ratio*cols is
+    first snapped to the nearest integer when it lies within 1e-9 of it, so
+    float error cannot change the count (0.29*100 is 28.999999999999996 and
+    drops 29). n:m: per aligned group of m consecutive columns, keep the n
+    largest. Equal scores keep the lower column index (stable descending sort).
     """
     rows, cols = scores.shape
     if isinstance(spec, Unstructured):
-        keep = cols - int(math.floor(spec.ratio * cols))
+        drop = spec.ratio * cols
+        if abs(drop - round(drop)) <= 1e-9:
+            drop = round(drop)
+        keep = cols - int(math.floor(drop))
         order = np.argsort(-scores, axis=1, kind="stable")
         bits = np.zeros((rows, cols), dtype=bool)
         if keep > 0:

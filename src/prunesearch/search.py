@@ -6,13 +6,8 @@ crossover and polynomial mutation) apply to the categorical space unchanged.
 Fitness values are memoized by decoded config: serving a duplicate from the
 memo never consumes budget, but every candidate considered is logged, so the
 trial log may contain repeated configs with bit-identical fitness.
-
-Candidate evaluations within one batch may run on a thread pool; fitness is a
-pure function of (ctx, config) and results are collected in candidate order,
-so the outcome is identical for any worker count.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +29,6 @@ class SearchParams:
     p_mutation: float = 0.25
     seed: int = 0
     patience: int = 5
-    jobs: int = 1
 
     def __post_init__(self):
         if self.population < 2 or self.population % 2 != 0:
@@ -133,20 +127,12 @@ def all_configs() -> list[MetricConfig]:
     ]
 
 
-def _evaluate_batch(ctx: EvalContext, configs: list[MetricConfig], jobs: int) -> list[float]:
-    if jobs <= 1 or len(configs) <= 1:
-        return [evaluate_config(ctx, cfg).l_div for cfg in configs]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return [fit.l_div for fit in pool.map(lambda cfg: evaluate_config(ctx, cfg), configs)]
-
-
 class _TrialLog:
     """Budget accounting shared by all search algorithms."""
 
-    def __init__(self, ctx: EvalContext, budget: int, jobs: int):
+    def __init__(self, ctx: EvalContext, budget: int):
         self.ctx = ctx
         self.budget = budget
-        self.jobs = jobs
         self.memo: dict[MetricConfig, float] = {}
         self.trials: list[tuple[int, MetricConfig, float]] = []
 
@@ -159,23 +145,16 @@ class _TrialLog:
         return self.budget - len(self.memo)
 
     def resolve(self, configs: list[MetricConfig]) -> list[float | None]:
-        """Fitness per config, evaluating unseen ones while budget remains.
+        """Fitness per config, evaluating unseen ones in order while budget remains.
 
-        Fresh configs are evaluated in first-appearance order (possibly on a
-        thread pool); every config with a known fitness is appended to the
-        trial log, memo hits included. Returns None for configs left
-        unevaluated because the budget ran out.
+        Every config with a known fitness is appended to the trial log, memo
+        hits included. Returns None for configs left unevaluated because the
+        budget ran out.
         """
-        fresh: list[MetricConfig] = []
-        seen_now = set()
-        for cfg in configs:
-            if cfg not in self.memo and cfg not in seen_now and len(fresh) < self.remaining:
-                fresh.append(cfg)
-                seen_now.add(cfg)
-        values = _evaluate_batch(self.ctx, fresh, self.jobs)
-        self.memo.update(zip(fresh, values))
         out: list[float | None] = []
         for cfg in configs:
+            if cfg not in self.memo and self.remaining > 0:
+                self.memo[cfg] = evaluate_config(self.ctx, cfg).l_div
             value = self.memo.get(cfg)
             if value is not None:
                 self.trials.append((len(self.trials), cfg, value))
@@ -266,10 +245,10 @@ def nsga2_search(ctx: EvalContext, params: SearchParams) -> SearchResult:
     """Elitist genetic search: binary tournaments, SBX, polynomial mutation,
     (mu+lambda) survivor selection, memoized fitness, early stop on stall.
 
-    Deterministic given params.seed; the jobs count never changes the result.
+    Deterministic given params.seed.
     """
     rng = np.random.default_rng(params.seed)
-    log = _TrialLog(ctx, params.budget, params.jobs)
+    log = _TrialLog(ctx, params.budget)
 
     population = _initial_population(rng, params.population)
     fitnesses = [f for f in log.resolve([decode(g) for g in population]) if f is not None]
@@ -320,7 +299,6 @@ def random_search(
     budget: int,
     seed: int,
     without_replacement: bool = False,
-    jobs: int = 1,
 ) -> SearchResult:
     """Uniform random config sampling under the same budget accounting.
 
@@ -331,7 +309,7 @@ def random_search(
     if budget < 1:
         raise ValueError("budget must be >= 1")
     rng = np.random.default_rng(seed)
-    log = _TrialLog(ctx, budget, jobs)
+    log = _TrialLog(ctx, budget)
     if without_replacement:
         table = all_configs()
         order = rng.permutation(SPACE_SIZE)[: min(budget, SPACE_SIZE)]
@@ -343,12 +321,12 @@ def random_search(
     return log.result("random", seed)
 
 
-def exhaustive_search(ctx: EvalContext, jobs: int = 1) -> SearchResult:
+def exhaustive_search(ctx: EvalContext) -> SearchResult:
     """Evaluate every config once; the trial log is the full table sorted by
     ascending fitness (ties stay in lexicographic code order). This is the
     ground-truth optimum the other algorithms are checked against."""
     configs = all_configs()
-    values = _evaluate_batch(ctx, configs, jobs)
+    values = [evaluate_config(ctx, cfg).l_div for cfg in configs]
     ranked = sorted(zip(configs, values), key=lambda pair: pair[1])
     trials = [(i, cfg, value) for i, (cfg, value) in enumerate(ranked)]
     return SearchResult(

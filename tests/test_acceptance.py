@@ -62,7 +62,7 @@ def fixture_ctx(fixture_weights, fixture_calib):
 def oracle(fixture_ctx):
     from prunesearch.search import exhaustive_search
 
-    return exhaustive_search(fixture_ctx, jobs=2)
+    return exhaustive_search(fixture_ctx)
 
 
 def test_criterion_1_oracle_optimum_recovery(tmp_path):

@@ -52,6 +52,10 @@ def test_bad_metric_and_sparsity_are_usage_errors(micro_files, capsys):
     ]
     assert run([*base, "--metric", "nope", "--sparsity", "0.5"]) == 1
     assert run([*base, "--metric", "wanda", "--sparsity", "garbage"]) == 1
+    inputs = ["--model", str(micro_files["model"]), "--calib", str(micro_files["calib"]),
+              "--sparsity", "0.5", "--out", str(micro_files["dir"] / "r.json")]
+    assert run(["search", *inputs, "--jobs", "-3"]) == 1
+    assert run(["enumerate", *inputs, "--jobs", "0"]) == 1
     capsys.readouterr()
 
 
@@ -74,6 +78,17 @@ def test_prune_group_misalignment_exits_2(tmp_path, capsys):
                 "--sparsity", "2:4", "--out", str(tmp_path / "p.opsh")])
     assert code == 2
     assert "divisible" in capsys.readouterr().err
+
+
+def test_magnitude_prune_rejects_stats_of_another_width(micro_files, capsys):
+    # The stats cover 8 input features; the model is 16 wide.
+    wide = micro_files["dir"] / "wide.opsh"
+    assert run(["gen-model", "--d-model", "16", "--layers", "1", "--heads", "2", "--d-ff", "8",
+                "--vocab", "32", "--max-seq", "8", "--seed", "1", "--out", str(wide)]) == 0
+    code = run(["prune", "--model", str(wide), "--stats", str(micro_files["stats"]),
+                "--metric", "magnitude", "--sparsity", "0.5", "--out", str(micro_files["dir"] / "p.opsh")])
+    assert code == 2
+    assert "input features" in capsys.readouterr().err
 
 
 def test_prune_and_eval_zero_divergence_for_ratio_zero(micro_files, capsys):

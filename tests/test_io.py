@@ -70,6 +70,32 @@ def test_read_model_rejects_trailing_bytes(tmp_path, mini_weights):
         storage.read_model(path)
 
 
+def test_container_rejects_payload_larger_than_file(tmp_path):
+    # A 2^31 x 2^31 uint8 tensor declared in a 60-byte file.
+    header = b"{}"
+    name = b"m"
+    data = (storage.MAGIC + struct.pack("<II", storage.VERSION, len(header)) + header
+            + struct.pack("<I", 1) + struct.pack("<H", len(name)) + name
+            + struct.pack("<BII", 2, 2**31, 2**31) + struct.pack("<B", storage.DTYPE_U8) + b"\x00" * 8)
+    path = tmp_path / "huge.opsh"
+    path.write_bytes(data)
+    with pytest.raises(storage.FormatError, match="payload of m"):
+        storage._read_container(path)
+
+
+def test_read_model_rejects_non_finite_weights(tmp_path, mini_weights):
+    import dataclasses
+
+    layer = mini_weights.layers[0]
+    q = layer.q.copy()
+    q[0, 0] = np.nan
+    bad = dataclasses.replace(mini_weights, layers=[dataclasses.replace(layer, q=q), *mini_weights.layers[1:]])
+    path = tmp_path / "model.opsh"
+    storage.write_model(path, bad)
+    with pytest.raises(storage.FormatError, match="layer.0.q"):
+        storage.read_model(path)
+
+
 def test_container_rejects_duplicate_names(tmp_path):
     path = tmp_path / "dup.opsh"
     tensor = np.zeros((1, 1))
@@ -120,6 +146,17 @@ def test_read_stats_reports_key_path(tmp_path):
     path = tmp_path / "stats.json"
     path.write_text(json.dumps({"layer.0.q": {"v": [1.0], "l1": []}}))
     with pytest.raises(storage.FormatError, match="layer.0.q"):
+        storage.read_stats(path)
+
+
+@pytest.mark.parametrize("field, value", [("v", float("nan")), ("v", -1.0), ("l1", float("inf"))])
+def test_read_stats_rejects_non_finite_or_negative(tmp_path, mini_stats, field, value):
+    path = tmp_path / "stats.json"
+    storage.write_stats(path, mini_stats)
+    doc = json.loads(path.read_text())
+    doc["layer.0.q"][field][0] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(storage.FormatError, match=rf"layer.0.q.*{field}"):
         storage.read_stats(path)
 
 

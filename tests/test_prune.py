@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -74,11 +73,11 @@ def test_nm_groups_keep_exactly_n():
 
 def test_unstructured_row_counts_exact():
     rng = np.random.default_rng(1)
-    for ratio in (0.25, 0.5, 0.75, 0.3):
-        scores = rng.normal(size=(8, 10))
+    # 0.29 * 100 evaluates to 28.999999999999996; it snaps to 29 before the floor.
+    for ratio, cols, dropped in ((0.25, 10, 2), (0.5, 10, 5), (0.75, 10, 7), (0.3, 10, 3), (0.29, 100, 29)):
+        scores = rng.normal(size=(8, cols))
         mask = build_mask(scores, Unstructured(ratio))
-        dropped = int(math.floor(ratio * 10))
-        assert (mask.bits.sum(axis=1) == 10 - dropped).all()
+        assert (mask.bits.sum(axis=1) == cols - dropped).all()
 
 
 def test_mask_depends_only_on_order():

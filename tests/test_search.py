@@ -137,11 +137,6 @@ class TestNsga2:
         assert a.best_config == b.best_config
         assert a.best_l_div == b.best_l_div
 
-    def test_jobs_do_not_change_result(self, mini_ctx):
-        a = nsga2_search(mini_ctx, SearchParams(population=8, budget=40, seed=9))
-        b = nsga2_search(mini_ctx, SearchParams(population=8, budget=40, seed=9, jobs=4))
-        assert a.trials == b.trials
-
     def test_accounting_invariants(self, mini_ctx):
         result = nsga2_search(mini_ctx, SearchParams(population=8, budget=60, seed=2))
         assert result.evaluations_used <= 60
@@ -199,7 +194,7 @@ class TestRandomSearch:
 def test_exhaustive_is_sorted_and_complete(mini_ctx):
     from prunesearch.metric import preset
 
-    oracle = exhaustive_search(mini_ctx, jobs=4)
+    oracle = exhaustive_search(mini_ctx)
     assert len(oracle.trials) == 2401
     values = [v for _, _, v in oracle.trials]
     assert values == sorted(values)
