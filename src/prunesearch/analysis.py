@@ -8,7 +8,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .metric import Magnitude, MetricKind, activation_factor, weight_factor
+from .metric import Magnitude, MetricKind, activation_factor, sub_module_stats, weight_factor
 from .model import SUB_MODULES, ModelWeights, sub_module_key
 
 
@@ -90,11 +90,9 @@ def alignment_discrepancy(weights: ModelWeights, stats: dict, kind: MetricKind) 
         entries = []
         for name in SUB_MODULES:
             key = sub_module_key(i, name)
-            if key not in stats:
-                raise ValueError(f"missing activation stats for sub-module {key}")
             w_oi = getattr(layer, name).T
             weight_sum = float(weight_factor(w_oi, kind).sum())
-            activation_sum = float(activation_factor(stats[key], kind).sum())
+            activation_sum = float(activation_factor(sub_module_stats(stats, key, w_oi), kind).sum())
             entries.append(
                 AlignmentEntry(
                     name=key,
@@ -123,11 +121,10 @@ def distribution_summary(weights: ModelWeights, stats: dict) -> DistributionRepo
         w_totals = []
         a_totals = []
         for name in SUB_MODULES:
-            key = sub_module_key(i, name)
-            if key not in stats:
-                raise ValueError(f"missing activation stats for sub-module {key}")
-            w_totals.append(float(abs(getattr(layer, name)).sum()))
-            a_totals.append(float(stats[key].v.sum()))
+            w = getattr(layer, name)
+            entry = sub_module_stats(stats, sub_module_key(i, name), w.T)
+            w_totals.append(float(abs(w).sum()))
+            a_totals.append(float(entry.v.sum()))
         weight_l1.append(sum(w_totals) / len(w_totals))
         activation_l2.append(sum(a_totals) / len(a_totals))
     return DistributionReport(weight_l1=tuple(weight_l1), activation_l2=tuple(activation_l2))

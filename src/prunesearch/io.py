@@ -259,17 +259,24 @@ def read_stats(path) -> ActivationStats:
         l1 = entry["l1"]
         if not isinstance(v, list) or not isinstance(l1, list) or len(v) != len(l1):
             raise FormatError(f"stats[{key!r}]: v and l1 must be equal-length arrays")
-        if not isinstance(entry["token_count"], int) or entry["token_count"] < 0:
+        # Exact type checks: json.loads gives bool for true/false, and bool is
+        # a subclass of int; nested arrays and strings would convert silently.
+        token_count = entry["token_count"]
+        if type(token_count) is not int or token_count < 0:
             raise FormatError(f"stats[{key!r}].token_count: must be a nonnegative integer")
-        try:
-            v_arr = np.asarray(v, dtype=np.float64)
-            l1_arr = np.asarray(l1, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise FormatError(f"stats[{key!r}]: v and l1 must contain only numbers") from None
-        for field, arr in (("v", v_arr), ("l1", l1_arr)):
-            if not (np.isfinite(arr) & (arr >= 0.0)).all():
+        arrays = {}
+        for field, values in (("v", v), ("l1", l1)):
+            if not all(type(x) in (int, float) for x in values):
+                raise FormatError(f"stats[{key!r}].{field}: must be a flat array of numbers")
+            try:
+                arr = np.asarray(values, dtype=np.float64)
+                valid = bool((np.isfinite(arr) & (arr >= 0.0)).all())
+            except OverflowError:  # an integer literal beyond float64
+                valid = False
+            if not valid:
                 raise FormatError(f"stats[{key!r}].{field}: values must be finite and nonnegative")
-        stats[key] = SubModuleStats(v=v_arr, l1=l1_arr, token_count=entry["token_count"])
+            arrays[field] = arr
+        stats[key] = SubModuleStats(v=arrays["v"], l1=arrays["l1"], token_count=token_count)
     if not stats:
         raise FormatError(f"{path}: stats document is empty")
     return stats

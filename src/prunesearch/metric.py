@@ -213,16 +213,30 @@ def activation_factor(stats: SubModuleStats, config: MetricConfig) -> np.ndarray
     return activation_coefficient(stats, config.beta) * transform_activations(stats.v, config.f2)
 
 
+def _check_width(w: np.ndarray, stats: SubModuleStats) -> None:
+    if stats.v.size != w.shape[1]:
+        raise ValueError(
+            f"stats cover {stats.v.size} input features but weight matrix has {w.shape[1]} columns"
+        )
+
+
+def sub_module_stats(stats: dict, key: str, w: np.ndarray) -> SubModuleStats:
+    """The stats entry of sub-module `key`, checked against its output x input
+    weight matrix: stats of another model (a missing sub-module or another
+    input width) are rejected."""
+    if key not in stats:
+        raise ValueError(f"missing activation stats for sub-module {key}")
+    _check_width(w, stats[key])
+    return stats[key]
+
+
 def score(w: np.ndarray, stats: SubModuleStats, kind: MetricKind) -> np.ndarray:
     """Importance scores for an output x input weight matrix.
 
     The stats must cover every input column for every kind, magnitude
     included, so stats from a different model are rejected.
     """
-    if stats.v.size != w.shape[1]:
-        raise ValueError(
-            f"stats cover {stats.v.size} input features but weight matrix has {w.shape[1]} columns"
-        )
+    _check_width(w, stats)
     if isinstance(kind, Magnitude):
         return np.abs(w)
     return weight_factor(w, kind) * activation_factor(stats, kind)[None, :]

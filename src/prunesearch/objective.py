@@ -6,7 +6,7 @@ states. Any positive normalization preserves the ranking of configs; this one
 keeps values comparable across calibration sizes.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -108,7 +108,10 @@ class EvalContext:
     """Shared inputs for scoring candidate configs.
 
     The dense hidden cache and activation stats are computed once and reused
-    for every candidate.
+    for every candidate. `fitness_by_masks` maps the packed bits of a pruned
+    model's mask set to its fitness, so fitness is computed once per distinct
+    mask set per context. It holds about params/8 bytes (one bit per prunable
+    weight) per distinct mask set and lives as long as the context.
     """
 
     weights: ModelWeights
@@ -116,6 +119,7 @@ class EvalContext:
     dense_hidden: list[np.ndarray]
     calib: CalibrationSet
     spec: SparsitySpec
+    fitness_by_masks: dict[bytes, Fitness] = field(default_factory=dict)
 
 
 def make_context(weights: ModelWeights, calib: CalibrationSet, spec: SparsitySpec) -> EvalContext:
@@ -129,6 +133,18 @@ def make_context(weights: ModelWeights, calib: CalibrationSet, spec: SparsitySpe
 
 
 def evaluate_config(ctx: EvalContext, kind: MetricKind) -> Fitness:
-    """Score -> mask -> pruned copy -> divergence; pure in (ctx, kind)."""
-    pruned, _ = prune_model(ctx.weights, ctx.stats, kind, ctx.spec)
-    return divergence(ctx.dense_hidden, pruned, ctx.calib)
+    """Score -> mask -> pruned copy -> divergence; pure in (ctx, kind).
+
+    Every call scores and masks, but the divergence forward runs only for a
+    mask set the context has not seen: identical masks give identical pruned
+    weights, so a cached fitness is bit-identical to a recomputed one. Search
+    budgets count configs, not forwards.
+    """
+    pruned, masks = prune_model(ctx.weights, ctx.stats, kind, ctx.spec)
+    # Mask shapes are fixed by the context's weights, so the packed bits in
+    # sub-module order identify the mask set exactly.
+    key = b"".join(np.packbits(m.bits).tobytes() for m in masks.values())
+    fit = ctx.fitness_by_masks.get(key)
+    if fit is None:
+        fit = ctx.fitness_by_masks[key] = divergence(ctx.dense_hidden, pruned, ctx.calib)
+    return fit

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import MetricKind, score
+from .metric import MetricKind, score, sub_module_stats
 from .model import SUB_MODULES, LayerWeights, ModelWeights, sub_module_key
 
 
@@ -136,12 +136,10 @@ def prune_model(
         pruned_fields = {}
         for name in SUB_MODULES:
             key = sub_module_key(i, name)
-            if key not in stats:
-                raise ValueError(f"missing activation stats for sub-module {key}")
             # Stored layout is input x output; score and mask rows compare the
             # weights feeding one output neuron.
             w_oi = getattr(layer, name).T
-            mask = build_mask(score(w_oi, stats[key], kind), spec)
+            mask = build_mask(score(w_oi, sub_module_stats(stats, key, w_oi), kind), spec)
             masks[key] = mask
             pruned_fields[name] = np.ascontiguousarray(apply_mask(w_oi, mask).T)
         new_layers.append(

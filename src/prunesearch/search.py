@@ -324,7 +324,13 @@ def random_search(
 def exhaustive_search(ctx: EvalContext) -> SearchResult:
     """Evaluate every config once; the trial log is the full table sorted by
     ascending fitness (ties stay in lexicographic code order). This is the
-    ground-truth optimum the other algorithms are checked against."""
+    ground-truth optimum the other algorithms are checked against.
+
+    Fitness is computed once per distinct mask set per context (about 434 of
+    the 2401 configs at the 2-layer fixture), while the budget counts all 2401
+    configs. The context keeps about params/8 bytes per distinct mask set for
+    its lifetime.
+    """
     configs = all_configs()
     values = [evaluate_config(ctx, cfg).l_div for cfg in configs]
     ranked = sorted(zip(configs, values), key=lambda pair: pair[1])

@@ -81,14 +81,22 @@ def test_prune_group_misalignment_exits_2(tmp_path, capsys):
 
 
 def test_magnitude_prune_rejects_stats_of_another_width(micro_files, capsys):
-    # The stats cover 8 input features; the model is 16 wide.
+    # The stats cover 8 input features; the model is 16 wide. Magnitude
+    # pruning, align and dist never read v for scores but must still refuse.
     wide = micro_files["dir"] / "wide.opsh"
     assert run(["gen-model", "--d-model", "16", "--layers", "1", "--heads", "2", "--d-ff", "8",
                 "--vocab", "32", "--max-seq", "8", "--seed", "1", "--out", str(wide)]) == 0
-    code = run(["prune", "--model", str(wide), "--stats", str(micro_files["stats"]),
-                "--metric", "magnitude", "--sparsity", "0.5", "--out", str(micro_files["dir"] / "p.opsh")])
-    assert code == 2
-    assert "input features" in capsys.readouterr().err
+    capsys.readouterr()
+    inputs = ["--model", str(wide), "--stats", str(micro_files["stats"])]
+    for command in (
+        ["prune", *inputs, "--metric", "magnitude", "--sparsity", "0.5", "--out", str(micro_files["dir"] / "p.opsh")],
+        ["align", *inputs, "--metric", "wanda", "--out", str(micro_files["dir"] / "a.json")],
+        ["dist", *inputs, "--out", str(micro_files["dir"] / "d.json")],
+    ):
+        assert run(command) == 2, command[0]
+        assert "input features" in capsys.readouterr().err
+    assert not (micro_files["dir"] / "a.json").exists()
+    assert not (micro_files["dir"] / "d.json").exists()
 
 
 def test_prune_and_eval_zero_divergence_for_ratio_zero(micro_files, capsys):

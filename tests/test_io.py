@@ -149,12 +149,40 @@ def test_read_stats_reports_key_path(tmp_path):
         storage.read_stats(path)
 
 
-@pytest.mark.parametrize("field, value", [("v", float("nan")), ("v", -1.0), ("l1", float("inf"))])
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("v", float("nan")),
+        ("v", -1.0),
+        ("l1", float("inf")),
+        pytest.param("v", 10**400, id="v-int-beyond-float64"),
+        pytest.param("v", "1.0", id="v-string"),
+        pytest.param("l1", True, id="l1-bool"),
+        pytest.param("token_count", True, id="token_count-bool"),
+        pytest.param("token_count", 1.0, id="token_count-float"),
+    ],
+)
 def test_read_stats_rejects_non_finite_or_negative(tmp_path, mini_stats, field, value):
+    # Each case replaces the first element of an array field, or a scalar field.
     path = tmp_path / "stats.json"
     storage.write_stats(path, mini_stats)
     doc = json.loads(path.read_text())
-    doc["layer.0.q"][field][0] = value
+    entry = doc["layer.0.q"]
+    if isinstance(entry[field], list):
+        entry[field][0] = value
+    else:
+        entry[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(storage.FormatError, match=rf"layer.0.q.*{field}"):
+        storage.read_stats(path)
+
+
+@pytest.mark.parametrize("field", ["v", "l1"])
+def test_read_stats_rejects_nested_arrays(tmp_path, mini_stats, field):
+    path = tmp_path / "stats.json"
+    storage.write_stats(path, mini_stats)
+    doc = json.loads(path.read_text())
+    doc["layer.0.q"][field] = [[x] for x in doc["layer.0.q"][field]]
     path.write_text(json.dumps(doc))
     with pytest.raises(storage.FormatError, match=rf"layer.0.q.*{field}"):
         storage.read_stats(path)

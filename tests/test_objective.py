@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from prunesearch.metric import preset
+from prunesearch import objective
+from prunesearch.metric import SPACE_SIZE, preset
 from prunesearch.model import final_hidden_batch, forward
 from prunesearch.objective import (
     CalibrationSet,
@@ -13,7 +14,8 @@ from prunesearch.objective import (
     synthetic_calibration,
     token_mean_sqdist,
 )
-from prunesearch.prune import Unstructured, prune_model
+from prunesearch.prune import SemiStructured, Unstructured, prune_model
+from prunesearch.search import all_configs, exhaustive_search
 
 
 def test_calibration_set_validation():
@@ -138,6 +140,28 @@ def test_identical_masks_give_bit_identical_divergence(mini_ctx):
     a = evaluate_config(mini_ctx, preset("optishear-l2-gsm8k"))
     b = evaluate_config(mini_ctx, preset("optishear-l3-gsm8k"))
     assert a.l_div == b.l_div
+
+
+@pytest.mark.parametrize("spec", [Unstructured(0.5), SemiStructured(2, 4)], ids=["0.5", "2:4"])
+def test_exhaustive_runs_one_divergence_per_distinct_mask_set(mini_weights, mini_calib, spec, monkeypatch):
+    ctx = make_context(mini_weights, mini_calib, spec)
+    reference = {}
+    mask_sets = set()
+    for cfg in all_configs():
+        pruned, masks = prune_model(ctx.weights, ctx.stats, cfg, spec)
+        reference[cfg] = divergence(ctx.dense_hidden, pruned, ctx.calib).l_div
+        mask_sets.add(tuple(m.bits.tobytes() for m in masks.values()))
+
+    calls = []
+
+    def counting_divergence(*args):
+        calls.append(1)
+        return divergence(*args)
+
+    monkeypatch.setattr(objective, "divergence", counting_divergence)
+    result = exhaustive_search(ctx)
+    assert len(calls) == len(mask_sets) < SPACE_SIZE
+    assert {cfg: value for _, cfg, value in result.trials} == reference  # bit for bit
 
 
 def test_fitness_rejects_non_finite():

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from prunesearch.metric import mask_equivalence_key
+from prunesearch.objective import make_context
+from prunesearch.prune import Unstructured
 from prunesearch.search import (
     SearchParams,
     all_configs,
@@ -145,6 +147,18 @@ class TestNsga2:
         assert result.best_l_div <= result.trials[0][2]
         # trial indices are consecutive
         assert [t[0] for t in result.trials] == list(range(len(result.trials)))
+
+    def test_warm_context_gives_the_same_search(self, mini_weights, mini_calib):
+        params = SearchParams(population=8, budget=60, seed=2)
+        warm = make_context(mini_weights, mini_calib, Unstructured(0.5))
+        exhaustive_search(warm)
+        cached = len(warm.fitness_by_masks)
+        a = nsga2_search(warm, params)
+        b = nsga2_search(make_context(mini_weights, mini_calib, Unstructured(0.5)), params)
+        assert len(warm.fitness_by_masks) == cached  # every mask set was already known
+        assert a.trials == b.trials
+        assert (a.best_config, a.best_l_div) == (b.best_config, b.best_l_div)
+        assert a.evaluations_used == b.evaluations_used
 
     def test_memoized_duplicates_are_bit_identical(self, mini_ctx):
         result = nsga2_search(mini_ctx, SearchParams(population=8, budget=60, seed=2))
