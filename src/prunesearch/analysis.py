@@ -8,8 +8,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .metric import Magnitude, MetricKind, activation_factor, sub_module_stats, weight_factor
-from .model import SUB_MODULES, ModelWeights, sub_module_key
+from .metric import Magnitude, MetricKind, activation_factor, check_stats, weight_factor
+from .model import SUB_MODULES, ModelWeights, sub_module_key, sub_module_shapes
 
 
 @dataclass(frozen=True)
@@ -84,6 +84,7 @@ def alignment_discrepancy(weights: ModelWeights, stats: dict, kind: MetricKind) 
     activation side of the score, and report the absolute gap between them."""
     if isinstance(kind, Magnitude):
         raise ValueError("magnitude scoring has no activation component to align")
+    check_stats(stats, sub_module_shapes(weights.config))
     layers: list[tuple[AlignmentEntry, ...]] = []
     per_layer: list[float] = []
     for i, layer in enumerate(weights.layers):
@@ -92,7 +93,7 @@ def alignment_discrepancy(weights: ModelWeights, stats: dict, kind: MetricKind) 
             key = sub_module_key(i, name)
             w_oi = getattr(layer, name).T
             weight_sum = float(weight_factor(w_oi, kind).sum())
-            activation_sum = float(activation_factor(sub_module_stats(stats, key, w_oi), kind).sum())
+            activation_sum = float(activation_factor(stats[key], kind).sum())
             entries.append(
                 AlignmentEntry(
                     name=key,
@@ -115,6 +116,7 @@ def alignment_discrepancy(weights: ModelWeights, stats: dict, kind: MetricKind) 
 def distribution_summary(weights: ModelWeights, stats: dict) -> DistributionReport:
     """Per layer, average the sub-module weight L1 norms and the sub-module
     sums of per-feature activation L2 norms."""
+    check_stats(stats, sub_module_shapes(weights.config))
     weight_l1: list[float] = []
     activation_l2: list[float] = []
     for i, layer in enumerate(weights.layers):
@@ -122,9 +124,8 @@ def distribution_summary(weights: ModelWeights, stats: dict) -> DistributionRepo
         a_totals = []
         for name in SUB_MODULES:
             w = getattr(layer, name)
-            entry = sub_module_stats(stats, sub_module_key(i, name), w.T)
             w_totals.append(float(abs(w).sum()))
-            a_totals.append(float(entry.v.sum()))
+            a_totals.append(float(stats[sub_module_key(i, name)].v.sum()))
         weight_l1.append(sum(w_totals) / len(w_totals))
         activation_l2.append(sum(a_totals) / len(a_totals))
     return DistributionReport(weight_l1=tuple(weight_l1), activation_l2=tuple(activation_l2))

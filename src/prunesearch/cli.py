@@ -255,9 +255,6 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 0
     try:
         return args.func(args)
-    except storage.FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .metric import SubModuleStats
-from .model import SUB_MODULES, LayerWeights, ModelConfig, ModelWeights, sub_module_key
+from .model import ModelConfig, ModelWeights, model_from_tensors, model_tensors, tensor_shapes
 from .objective import ActivationStats, CalibrationSet
 from .prune import Mask, MaskSet
 from .search import SearchResult
@@ -111,40 +111,9 @@ def _read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
 # -- model weights ------------------------------------------------------------
 
 
-def _model_tensor_order(config: ModelConfig) -> list[str]:
-    names = ["token_embedding", "position_embedding"]
-    for i in range(config.n_layers):
-        names.extend(sub_module_key(i, sub) for sub in SUB_MODULES)
-        names.append(f"layer.{i}.attn_norm")
-        names.append(f"layer.{i}.mlp_norm")
-    names.append("final_norm")
-    return names
-
-
 def write_model(path, weights: ModelWeights) -> None:
-    config = weights.config
-    tensors: list[tuple[str, np.ndarray, int]] = [
-        ("token_embedding", weights.token_embedding, DTYPE_F32),
-        ("position_embedding", weights.position_embedding, DTYPE_F32),
-    ]
-    for i, layer in enumerate(weights.layers):
-        for sub in SUB_MODULES:
-            tensors.append((sub_module_key(i, sub), getattr(layer, sub), DTYPE_F32))
-        tensors.append((f"layer.{i}.attn_norm", layer.attn_norm, DTYPE_F32))
-        tensors.append((f"layer.{i}.mlp_norm", layer.mlp_norm, DTYPE_F32))
-    tensors.append(("final_norm", weights.final_norm, DTYPE_F32))
-    _write_container(path, {"kind": "model", "config": asdict(config)}, tensors)
-
-
-_EXPECTED_SHAPES = {
-    "q": ("d_model", "d_model"),
-    "k": ("d_model", "d_model"),
-    "v": ("d_model", "d_model"),
-    "o": ("d_model", "d_model"),
-    "gate": ("d_model", "d_ff"),
-    "up": ("d_model", "d_ff"),
-    "down": ("d_ff", "d_model"),
-}
+    tensors = [(name, array, DTYPE_F32) for name, array in model_tensors(weights).items()]
+    _write_container(path, {"kind": "model", "config": asdict(weights.config)}, tensors)
 
 
 def read_model(path) -> ModelWeights:
@@ -156,41 +125,17 @@ def read_model(path) -> ModelWeights:
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad model config record: {exc}") from None
 
-    expected = _model_tensor_order(config)
-    if list(tensors) != expected:
-        missing = sorted(set(expected) - set(tensors))
-        extra = sorted(set(tensors) - set(expected))
+    shapes = tensor_shapes(config)
+    if list(tensors) != list(shapes):
+        missing = sorted(set(shapes) - set(tensors))
+        extra = sorted(set(tensors) - set(shapes))
         raise FormatError(f"model tensor set mismatch: missing {missing}, unexpected {extra}")
-
-    def take(name: str, shape: tuple[int, ...]) -> np.ndarray:
-        array = tensors[name]
-        if array.shape != shape:
-            raise FormatError(f"tensor {name!r} has shape {array.shape}, expected {shape}")
-        if not np.isfinite(array).all():
+    for name, shape in shapes.items():
+        if tensors[name].shape != shape:
+            raise FormatError(f"tensor {name!r} has shape {tensors[name].shape}, expected {shape}")
+        if not np.isfinite(tensors[name]).all():
             raise FormatError(f"tensor {name!r} holds non-finite values")
-        return array.astype(np.float64)
-
-    dims = {"d_model": config.d_model, "d_ff": config.d_ff}
-    layers = []
-    for i in range(config.n_layers):
-        fields = {
-            sub: take(sub_module_key(i, sub), tuple(dims[d] for d in _EXPECTED_SHAPES[sub]))
-            for sub in SUB_MODULES
-        }
-        layers.append(
-            LayerWeights(
-                **fields,
-                attn_norm=take(f"layer.{i}.attn_norm", (config.d_model,)),
-                mlp_norm=take(f"layer.{i}.mlp_norm", (config.d_model,)),
-            )
-        )
-    return ModelWeights(
-        config=config,
-        token_embedding=take("token_embedding", (config.vocab_size, config.d_model)),
-        position_embedding=take("position_embedding", (config.max_seq_len, config.d_model)),
-        layers=layers,
-        final_norm=take("final_norm", (config.d_model,)),
-    )
+    return model_from_tensors(config, {name: a.astype(np.float64) for name, a in tensors.items()})
 
 
 # -- calibration sets ---------------------------------------------------------

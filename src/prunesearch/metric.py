@@ -213,21 +213,21 @@ def activation_factor(stats: SubModuleStats, config: MetricConfig) -> np.ndarray
     return activation_coefficient(stats, config.beta) * transform_activations(stats.v, config.f2)
 
 
-def _check_width(w: np.ndarray, stats: SubModuleStats) -> None:
-    if stats.v.size != w.shape[1]:
-        raise ValueError(
-            f"stats cover {stats.v.size} input features but weight matrix has {w.shape[1]} columns"
-        )
-
-
-def sub_module_stats(stats: dict, key: str, w: np.ndarray) -> SubModuleStats:
-    """The stats entry of sub-module `key`, checked against its output x input
-    weight matrix: stats of another model (a missing sub-module or another
-    input width) are rejected."""
-    if key not in stats:
-        raise ValueError(f"missing activation stats for sub-module {key}")
-    _check_width(w, stats[key])
-    return stats[key]
+def check_stats(stats: dict, shapes: dict[str, tuple[int, int]]) -> None:
+    """Reject stats of another model. `shapes` maps each sub-module key to its
+    stored (inputs, outputs) shape (model.sub_module_shapes): every key needs
+    an entry covering its input width, and no entry may name another key."""
+    for key, (inputs, _) in shapes.items():
+        if key not in stats:
+            raise ValueError(f"missing activation stats for sub-module {key}")
+        if stats[key].v.size != inputs:
+            raise ValueError(
+                f"stats of sub-module {key} cover {stats[key].v.size} input features "
+                f"but the model's weight matrix has {inputs} inputs"
+            )
+    extra = sorted(set(stats) - set(shapes))
+    if extra:
+        raise ValueError(f"activation stats for sub-modules the model lacks: {', '.join(extra)}")
 
 
 def score(w: np.ndarray, stats: SubModuleStats, kind: MetricKind) -> np.ndarray:
@@ -236,7 +236,10 @@ def score(w: np.ndarray, stats: SubModuleStats, kind: MetricKind) -> np.ndarray:
     The stats must cover every input column for every kind, magnitude
     included, so stats from a different model are rejected.
     """
-    _check_width(w, stats)
+    if stats.v.size != w.shape[1]:
+        raise ValueError(
+            f"stats cover {stats.v.size} input features but weight matrix has {w.shape[1]} columns"
+        )
     if isinstance(kind, Magnitude):
         return np.abs(w)
     return weight_factor(w, kind) * activation_factor(stats, kind)[None, :]

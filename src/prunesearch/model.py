@@ -10,7 +10,7 @@ Forward passes are pure functions of (weights, tokens); weights are treated as
 immutable after construction.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -50,24 +50,26 @@ class ModelConfig:
 
 @dataclass(eq=False)
 class LayerWeights:
-    q: np.ndarray  # d_model x d_model
-    k: np.ndarray  # d_model x d_model
-    v: np.ndarray  # d_model x d_model
-    o: np.ndarray  # d_model x d_model
-    gate: np.ndarray  # d_model x d_ff
-    up: np.ndarray  # d_model x d_ff
-    down: np.ndarray  # d_ff x d_model
-    attn_norm: np.ndarray  # d_model
-    mlp_norm: np.ndarray  # d_model
+    q: np.ndarray
+    k: np.ndarray
+    v: np.ndarray
+    o: np.ndarray
+    gate: np.ndarray
+    up: np.ndarray
+    down: np.ndarray
+    attn_norm: np.ndarray
+    mlp_norm: np.ndarray
 
 
 @dataclass(eq=False)
 class ModelWeights:
+    """The in-memory model; tensor_shapes gives every tensor's name and shape."""
+
     config: ModelConfig
-    token_embedding: np.ndarray  # vocab_size x d_model; also the tied output head
-    position_embedding: np.ndarray  # max_seq_len x d_model
+    token_embedding: np.ndarray  # also the tied output head
+    position_embedding: np.ndarray
     layers: list[LayerWeights]
-    final_norm: np.ndarray  # d_model
+    final_norm: np.ndarray
 
 
 @dataclass(eq=False)
@@ -76,41 +78,71 @@ class ForwardTrace:
     captured_inputs: dict[str, np.ndarray] | None  # sub-module key -> T x in_features
 
 
+def tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> stored shape of every model tensor, in file order.
+
+    This is the one description of the model layout: embeddings, then per
+    layer the seven sub-modules (input x output) and the two norm gains, then
+    the final norm. Initialisation draws in this order too.
+    """
+    d, f = config.d_model, config.d_ff
+    layer = {"q": (d, d), "k": (d, d), "v": (d, d), "o": (d, d),
+             "gate": (d, f), "up": (d, f), "down": (f, d), "attn_norm": (d,), "mlp_norm": (d,)}
+    shapes = {"token_embedding": (config.vocab_size, d), "position_embedding": (config.max_seq_len, d)}
+    for i in range(config.n_layers):
+        shapes.update({sub_module_key(i, name): shape for name, shape in layer.items()})
+    shapes["final_norm"] = (d,)
+    return shapes
+
+
+def sub_module_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
+    """The prunable entries of tensor_shapes: key -> (inputs, outputs)."""
+    return {
+        key: shape
+        for key, shape in tensor_shapes(config).items()
+        if key.rpartition(".")[2] in SUB_MODULES
+    }
+
+
+def model_tensors(weights: ModelWeights) -> dict[str, np.ndarray]:
+    """Every tensor of the model under its tensor_shapes name, in file order."""
+
+    def tensor(name: str) -> np.ndarray:
+        if name.startswith("layer."):
+            _, index, field = name.split(".")
+            return getattr(weights.layers[int(index)], field)
+        return getattr(weights, name)
+
+    return {name: tensor(name) for name in tensor_shapes(weights.config)}
+
+
+def model_from_tensors(config: ModelConfig, tensors: dict[str, np.ndarray]) -> ModelWeights:
+    """The inverse of model_tensors; the arrays are shared, not copied."""
+    layers = [
+        LayerWeights(**{f.name: tensors[sub_module_key(i, f.name)] for f in fields(LayerWeights)})
+        for i in range(config.n_layers)
+    ]
+    return ModelWeights(
+        config=config,
+        token_embedding=tensors["token_embedding"],
+        position_embedding=tensors["position_embedding"],
+        layers=layers,
+        final_norm=tensors["final_norm"],
+    )
+
+
 def init_model(config: ModelConfig, seed: int) -> ModelWeights:
     """Draw every embedding/linear weight i.i.d. from N(0, 0.02^2), seeded.
 
     Norm gains start at 1. Identical (config, seed) pairs produce bit-identical
-    weights; tensors are drawn in a fixed canonical order.
+    weights; matrices are drawn in tensor_shapes order.
     """
     rng = np.random.default_rng(seed)
-
-    def normal(rows: int, cols: int) -> np.ndarray:
-        return rng.normal(0.0, INIT_STD, size=(rows, cols))
-
-    token_embedding = normal(config.vocab_size, config.d_model)
-    position_embedding = normal(config.max_seq_len, config.d_model)
-    layers = []
-    for _ in range(config.n_layers):
-        layers.append(
-            LayerWeights(
-                q=normal(config.d_model, config.d_model),
-                k=normal(config.d_model, config.d_model),
-                v=normal(config.d_model, config.d_model),
-                o=normal(config.d_model, config.d_model),
-                gate=normal(config.d_model, config.d_ff),
-                up=normal(config.d_model, config.d_ff),
-                down=normal(config.d_ff, config.d_model),
-                attn_norm=np.ones(config.d_model),
-                mlp_norm=np.ones(config.d_model),
-            )
-        )
-    return ModelWeights(
-        config=config,
-        token_embedding=token_embedding,
-        position_embedding=position_embedding,
-        layers=layers,
-        final_norm=np.ones(config.d_model),
-    )
+    tensors = {
+        name: rng.normal(0.0, INIT_STD, size=shape) if len(shape) == 2 else np.ones(shape)
+        for name, shape in tensor_shapes(config).items()
+    }
+    return model_from_tensors(config, tensors)
 
 
 def rmsnorm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:

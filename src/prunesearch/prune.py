@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import MetricKind, score, sub_module_stats
-from .model import SUB_MODULES, LayerWeights, ModelWeights, sub_module_key
+from .metric import MetricKind, check_stats, score
+from .model import ModelWeights, model_from_tensors, model_tensors, sub_module_shapes
 
 
 @dataclass(frozen=True)
@@ -130,26 +130,14 @@ def prune_model(
     output x input orientation. Embeddings and norm gains are shared, never
     pruned.
     """
+    shapes = sub_module_shapes(weights.config)
+    check_stats(stats, shapes)
+    tensors = model_tensors(weights)
     masks: MaskSet = {}
-    new_layers = []
-    for i, layer in enumerate(weights.layers):
-        pruned_fields = {}
-        for name in SUB_MODULES:
-            key = sub_module_key(i, name)
-            # Stored layout is input x output; score and mask rows compare the
-            # weights feeding one output neuron.
-            w_oi = getattr(layer, name).T
-            mask = build_mask(score(w_oi, sub_module_stats(stats, key, w_oi), kind), spec)
-            masks[key] = mask
-            pruned_fields[name] = np.ascontiguousarray(apply_mask(w_oi, mask).T)
-        new_layers.append(
-            LayerWeights(**pruned_fields, attn_norm=layer.attn_norm, mlp_norm=layer.mlp_norm)
-        )
-    pruned = ModelWeights(
-        config=weights.config,
-        token_embedding=weights.token_embedding,
-        position_embedding=weights.position_embedding,
-        layers=new_layers,
-        final_norm=weights.final_norm,
-    )
-    return pruned, masks
+    for key in shapes:
+        # Stored layout is input x output; score and mask rows compare the
+        # weights feeding one output neuron.
+        w_oi = tensors[key].T
+        masks[key] = mask = build_mask(score(w_oi, stats[key], kind), spec)
+        tensors[key] = np.ascontiguousarray(apply_mask(w_oi, mask).T)
+    return model_from_tensors(weights.config, tensors), masks

@@ -81,20 +81,31 @@ def test_prune_group_misalignment_exits_2(tmp_path, capsys):
 
 
 def test_magnitude_prune_rejects_stats_of_another_width(micro_files, capsys):
-    # The stats cover 8 input features; the model is 16 wide. Magnitude
-    # pruning, align and dist never read v for scores but must still refuse.
+    # Magnitude pruning, align and dist never read v for scores but must still
+    # refuse stats of another model: the 8-wide stats with a 16-wide model, and
+    # the stats of a 2-layer model with the 1-layer model of the same widths.
     wide = micro_files["dir"] / "wide.opsh"
+    deep = micro_files["dir"] / "deep.opsh"
+    deep_stats = micro_files["dir"] / "deep_stats.json"
     assert run(["gen-model", "--d-model", "16", "--layers", "1", "--heads", "2", "--d-ff", "8",
                 "--vocab", "32", "--max-seq", "8", "--seed", "1", "--out", str(wide)]) == 0
+    assert run(["gen-model", "--d-model", "8", "--layers", "2", "--heads", "2", "--d-ff", "8",
+                "--vocab", "32", "--max-seq", "8", "--seed", "1", "--out", str(deep)]) == 0
+    assert run(["stats", "--model", str(deep), "--calib", str(micro_files["calib"]), "--out", str(deep_stats)]) == 0
     capsys.readouterr()
-    inputs = ["--model", str(wide), "--stats", str(micro_files["stats"])]
-    for command in (
-        ["prune", *inputs, "--metric", "magnitude", "--sparsity", "0.5", "--out", str(micro_files["dir"] / "p.opsh")],
-        ["align", *inputs, "--metric", "wanda", "--out", str(micro_files["dir"] / "a.json")],
-        ["dist", *inputs, "--out", str(micro_files["dir"] / "d.json")],
+    for model, stats, diagnostic in (
+        (wide, micro_files["stats"], "input features"),
+        (micro_files["model"], deep_stats, "layer.1.q"),
     ):
-        assert run(command) == 2, command[0]
-        assert "input features" in capsys.readouterr().err
+        inputs = ["--model", str(model), "--stats", str(stats)]
+        for command in (
+            ["prune", *inputs, "--metric", "magnitude", "--sparsity", "0.5", "--out", str(micro_files["dir"] / "p.opsh")],
+            ["align", *inputs, "--metric", "wanda", "--out", str(micro_files["dir"] / "a.json")],
+            ["dist", *inputs, "--out", str(micro_files["dir"] / "d.json")],
+        ):
+            assert run(command) == 2, (command[0], diagnostic)
+            assert diagnostic in capsys.readouterr().err
+    assert not (micro_files["dir"] / "p.opsh").exists()
     assert not (micro_files["dir"] / "a.json").exists()
     assert not (micro_files["dir"] / "d.json").exists()
 

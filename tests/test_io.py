@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -6,6 +7,7 @@ import pytest
 
 from prunesearch import io as storage
 from prunesearch.metric import preset
+from prunesearch.model import ModelConfig, init_model
 from prunesearch.objective import CalibrationSet
 from prunesearch.prune import SemiStructured, prune_model, sparsity_of
 from prunesearch.search import SearchParams, nsga2_search
@@ -31,6 +33,15 @@ def test_model_file_lists_expected_tensors(tmp_path, mini_weights):
     d = mini_weights.config.d_model
     assert tensors["layer.0.q"].shape == (d, d)
     assert tensors["layer.0.gate"].shape == (d, mini_weights.config.d_ff)
+
+
+def test_fixture_model_bytes_are_pinned(tmp_path):
+    # The bytes of `gen-model --seed 42`: they change if the init draw order,
+    # the tensor order in the file or the container layout changes.
+    path = tmp_path / "model.opsh"
+    storage.write_model(path, init_model(ModelConfig(128, 32, 2, 4, 64, 64), 42))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "3858e7577ec14e76be905cadbe603722f1b3b28c281c0cbf1ab3e70b5dcace30"
 
 
 def test_read_model_rejects_bad_magic(tmp_path, mini_weights):

@@ -120,8 +120,6 @@ def test_params_validation():
         SearchParams(population=7)
     with pytest.raises(ValueError):
         SearchParams(population=24, budget=23)
-    with pytest.raises(ValueError):
-        SearchParams(patience=0)
 
 
 class TestNsga2:
