@@ -90,7 +90,10 @@ def _read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
         tensors: dict[str, np.ndarray] = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<H", _read_exact(f, 2, "tensor name length"))
-            name = _read_exact(f, name_len, "tensor name").decode("utf-8")
+            try:
+                name = _read_exact(f, name_len, "tensor name").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"bad tensor name: {exc}") from None
             if name in tensors:
                 raise FormatError(f"duplicate tensor name {name!r}")
             (ndim,) = struct.unpack("<B", _read_exact(f, 1, f"ndim of {name}"))

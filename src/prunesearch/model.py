@@ -10,7 +10,8 @@ Forward passes are pure functions of (weights, tokens); weights are treated as
 immutable after construction.
 """
 
-from dataclasses import dataclass, fields
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,57 +79,54 @@ class ForwardTrace:
     captured_inputs: dict[str, np.ndarray] | None  # sub-module key -> T x in_features
 
 
-def tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Name -> stored shape of every model tensor, in file order.
+@functools.lru_cache(maxsize=8)
+def _layout(config: ModelConfig) -> tuple[tuple[str, int | None, str, tuple[int, ...]], ...]:
+    """(name, layer index or None, attribute, stored shape) of every model
+    tensor, in file order.
 
     This is the one description of the model layout: embeddings, then per
     layer the seven sub-modules (input x output) and the two norm gains, then
-    the final norm. Initialisation draws in this order too.
+    the final norm. Initialisation draws in this order too. It is built once
+    per config, so the functions below walk it without formatting or parsing
+    a tensor name.
     """
     d, f = config.d_model, config.d_ff
     layer = {"q": (d, d), "k": (d, d), "v": (d, d), "o": (d, d),
              "gate": (d, f), "up": (d, f), "down": (f, d), "attn_norm": (d,), "mlp_norm": (d,)}
-    shapes = {"token_embedding": (config.vocab_size, d), "position_embedding": (config.max_seq_len, d)}
-    for i in range(config.n_layers):
-        shapes.update({sub_module_key(i, name): shape for name, shape in layer.items()})
-    shapes["final_norm"] = (d,)
-    return shapes
+    return (
+        ("token_embedding", None, "token_embedding", (config.vocab_size, d)),
+        ("position_embedding", None, "position_embedding", (config.max_seq_len, d)),
+        *((sub_module_key(i, attr), i, attr, shape)
+          for i in range(config.n_layers) for attr, shape in layer.items()),
+        ("final_norm", None, "final_norm", (d,)),
+    )
+
+
+def tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> stored shape of every model tensor, in file order."""
+    return {name: shape for name, _, _, shape in _layout(config)}
 
 
 def sub_module_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
     """The prunable entries of tensor_shapes: key -> (inputs, outputs)."""
-    return {
-        key: shape
-        for key, shape in tensor_shapes(config).items()
-        if key.rpartition(".")[2] in SUB_MODULES
-    }
+    return {name: shape for name, _, attr, shape in _layout(config) if attr in SUB_MODULES}
 
 
 def model_tensors(weights: ModelWeights) -> dict[str, np.ndarray]:
     """Every tensor of the model under its tensor_shapes name, in file order."""
-
-    def tensor(name: str) -> np.ndarray:
-        if name.startswith("layer."):
-            _, index, field = name.split(".")
-            return getattr(weights.layers[int(index)], field)
-        return getattr(weights, name)
-
-    return {name: tensor(name) for name in tensor_shapes(weights.config)}
+    return {
+        name: getattr(weights if layer is None else weights.layers[layer], attr)
+        for name, layer, attr, _ in _layout(weights.config)
+    }
 
 
 def model_from_tensors(config: ModelConfig, tensors: dict[str, np.ndarray]) -> ModelWeights:
     """The inverse of model_tensors; the arrays are shared, not copied."""
-    layers = [
-        LayerWeights(**{f.name: tensors[sub_module_key(i, f.name)] for f in fields(LayerWeights)})
-        for i in range(config.n_layers)
-    ]
-    return ModelWeights(
-        config=config,
-        token_embedding=tensors["token_embedding"],
-        position_embedding=tensors["position_embedding"],
-        layers=layers,
-        final_norm=tensors["final_norm"],
-    )
+    top: dict[str, np.ndarray] = {}
+    layers: list[dict[str, np.ndarray]] = [{} for _ in range(config.n_layers)]
+    for name, layer, attr, _ in _layout(config):
+        (top if layer is None else layers[layer])[attr] = tensors[name]
+    return ModelWeights(config=config, layers=[LayerWeights(**layer) for layer in layers], **top)
 
 
 def init_model(config: ModelConfig, seed: int) -> ModelWeights:
@@ -156,11 +154,25 @@ def silu(x: np.ndarray) -> np.ndarray:
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax over the last axis, max-subtracted for stability.
 
-    Rows may contain -inf (masked positions); those get probability zero.
+    Rows may contain -inf (masked positions); those get probability exactly
+    zero without taking exp of them. The argument is not written to.
     """
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    keep = logits != -np.inf
+    probs = np.zeros_like(logits)
+    np.subtract(logits, logits.max(axis=-1, keepdims=True), out=probs, where=keep)
+    np.exp(probs, out=probs, where=keep)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
+
+
+@functools.lru_cache(maxsize=64)
+def _future_mask(t: int) -> np.ndarray:
+    # True above the diagonal: the keys each query of a length-t sequence must
+    # not see. Read-only and kept for the 64 most recently used lengths, t*t
+    # bytes each (about 1 MB for 32 lengths up to 256).
+    future = np.triu(np.ones((t, t), dtype=bool), k=1)
+    future.flags.writeable = False
+    return future
 
 
 def _causal_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int) -> np.ndarray:
@@ -170,9 +182,9 @@ def _causal_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int)
     qh = q.reshape(t, n_heads, hd).transpose(1, 0, 2)
     kh = k.reshape(t, n_heads, hd).transpose(1, 0, 2)
     vh = v.reshape(t, n_heads, hd).transpose(1, 0, 2)
-    logits = qh @ kh.transpose(0, 2, 1) / np.sqrt(hd)
-    future = np.triu(np.ones((t, t), dtype=bool), k=1)
-    logits = np.where(future, -np.inf, logits)
+    logits = qh @ kh.transpose(0, 2, 1)
+    logits /= np.sqrt(hd)
+    np.copyto(logits, -np.inf, where=_future_mask(t))
     probs = softmax_rows(logits)
     mixed = probs @ vh  # (H, T, hd)
     return mixed.transpose(1, 0, 2).reshape(t, d)

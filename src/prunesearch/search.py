@@ -8,6 +8,7 @@ memo never consumes budget, but every candidate considered is logged, so the
 trial log may contain repeated configs with bit-identical fitness.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,17 @@ def decode(genes) -> MetricConfig:
         raise ValueError("genes must lie in [0, 1)")
     codes = np.minimum((g * 7).astype(np.int64), 6)
     return MetricConfig.from_codes(tuple(int(c) for c in codes))
+
+
+@functools.cache
+def _key_for_codes(codes: tuple[int, int, int, int]) -> tuple:
+    return mask_equivalence_key(MetricConfig.from_codes(codes))
+
+
+def _class_key(genes: np.ndarray) -> tuple:
+    """mask_equivalence_key(decode(genes)) for genes already in [0, 1), from
+    the four codes alone: one cached key per code tuple (at most 2401)."""
+    return _key_for_codes(tuple(min(int(g * 7), 6) for g in genes.tolist()))
 
 
 def sbx_crossover(p1, p2, eta_c: float, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -185,7 +197,7 @@ def _initial_population(rng, population: int) -> list[np.ndarray]:
     seen: set[tuple] = set()
     while len(genomes) < population:
         genes = np.clip(rng.random(GENE_COUNT), 0.0, GENE_MAX)
-        key = mask_equivalence_key(decode(genes))
+        key = _class_key(genes)
         if key in seen:
             continue
         seen.add(key)
@@ -221,22 +233,22 @@ def _escape_duplicate(
     unchanged if everything collides. Every stage is needed: no simpler
     fallback finds the oracle optimum on 4 of 5 seeds at both 0.5 and 2:4.
     """
-    if mask_equivalence_key(decode(child)) not in taken:
+    if _class_key(child) not in taken:
         return child
     for _ in range(2):
         candidate = polynomial_mutation(child, ETA_M, 1.0, rng)
-        if mask_equivalence_key(decode(candidate)) not in taken:
+        if _class_key(candidate) not in taken:
             return candidate
     for elite in elites:
         for slot in range(GENE_COUNT):
             for code in range(7):
                 candidate = elite.copy()
                 candidate[slot] = _gene_for_code(code)
-                if mask_equivalence_key(decode(candidate)) not in taken:
+                if _class_key(candidate) not in taken:
                     return candidate
     for _ in range(8):
         candidate = np.clip(rng.random(GENE_COUNT), 0.0, GENE_MAX)
-        if mask_equivalence_key(decode(candidate)) not in taken:
+        if _class_key(candidate) not in taken:
             return candidate
     return child
 
@@ -269,7 +281,7 @@ def nsga2_search(ctx: EvalContext, params: SearchParams) -> SearchResult:
             for child in (c1, c2):
                 child = polynomial_mutation(child, ETA_M, P_MUTATION, rng)
                 child = _escape_duplicate(child, taken, elites, rng)
-                taken.add(mask_equivalence_key(decode(child)))
+                taken.add(_class_key(child))
                 offspring.append(child)
 
         child_fits = log.resolve([decode(g) for g in offspring])

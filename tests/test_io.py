@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prunesearch import io as storage
 from prunesearch.metric import preset
@@ -105,6 +107,46 @@ def test_read_model_rejects_non_finite_weights(tmp_path, mini_weights):
     storage.write_model(path, bad)
     with pytest.raises(storage.FormatError, match="layer.0.q"):
         storage.read_model(path)
+
+
+def test_read_model_rejects_a_tensor_name_that_is_not_utf8(tmp_path, mini_weights):
+    path = tmp_path / "model.opsh"
+    storage.write_model(path, mini_weights)
+    data = bytearray(path.read_bytes())
+    data[data.index(b"token_embedding")] |= 0x80  # 't' becomes a bare lead byte
+    path.write_bytes(bytes(data))
+    with pytest.raises(storage.FormatError, match="tensor name"):
+        storage.read_model(path)
+
+
+# A 1-layer model small enough that names, shapes and the header make up most
+# of the file, so random damage often lands outside the weight payloads.
+_TINY_MODEL = init_model(ModelConfig(4, 2, 1, 1, 2, 2), seed=5)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(
+    damage=st.one_of(
+        st.integers(min_value=0, max_value=10**6).map(lambda n: ("truncate", n)),
+        st.lists(st.integers(min_value=0, max_value=10**7), min_size=1, max_size=3, unique=True)
+        .map(lambda bits: ("flip", bits)),
+    )
+)
+def test_read_model_damaged_file_raises_only_format_error(tmp_path_factory, damage):
+    path = tmp_path_factory.mktemp("damaged") / "model.opsh"
+    storage.write_model(path, _TINY_MODEL)
+    data = bytearray(path.read_bytes())
+    how, where = damage
+    if how == "truncate":
+        del data[where % len(data):]
+    else:
+        for bit in {b % (8 * len(data)) for b in where}:
+            data[bit // 8] ^= 1 << (bit % 8)
+    path.write_bytes(bytes(data))
+    try:
+        storage.read_model(path)
+    except storage.FormatError:
+        pass  # a flipped mantissa bit can leave a valid model; any other error fails
 
 
 def test_container_rejects_duplicate_names(tmp_path):

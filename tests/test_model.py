@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from prunesearch import model
 from prunesearch.model import (
     ModelConfig,
     final_hidden_batch,
@@ -93,9 +94,52 @@ def test_attention_softmax_rows_sum_to_one():
     logits = rng.normal(size=(3, 6, 6))
     future = np.triu(np.ones((6, 6), dtype=bool), k=1)
     masked = np.where(future, -np.inf, logits)
+    before = masked.copy()
     probs = softmax_rows(masked)
     np.testing.assert_allclose(probs.sum(axis=-1), np.ones((3, 6)), atol=1e-9)
     assert (probs[:, 0, 1:] == 0.0).all()  # masked positions get zero weight
+    assert masked.tobytes() == before.tobytes()  # the argument is not written to
+
+
+def _reference_attention(q, k, v, n_heads):
+    # The plain formulation: write -inf over the future, exp every entry,
+    # divide by the row sums.
+    t, d = q.shape
+    hd = d // n_heads
+    qh, kh, vh = (a.reshape(t, n_heads, hd).transpose(1, 0, 2) for a in (q, k, v))
+    logits = qh @ kh.transpose(0, 2, 1) / np.sqrt(hd)
+    future = np.triu(np.ones((t, t), dtype=bool), k=1)
+    logits = np.where(future, -np.inf, logits)
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    probs = e / e.sum(axis=-1, keepdims=True)
+    return (probs @ vh).transpose(1, 0, 2).reshape(t, d)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "t, d, heads, scale",
+    [(1, 8, 2, 1.0), (5, 12, 3, 1.0), (16, 16, 2, 1.0), (37, 32, 4, 1.0), (64, 32, 4, 1.0),
+     (64, 32, 4, 30.0), (23, 24, 1, 30.0), (64, 64, 8, 30.0)],
+)
+def test_causal_attention_is_bit_identical_to_reference(t, d, heads, scale):
+    rng = np.random.default_rng(t * 1000 + d + heads)
+    q, k, v = (rng.normal(size=(t, d)) for _ in range(3))
+    q *= scale  # logits scaled too
+    expected = _reference_attention(q, k, v, heads)
+    assert model._causal_attention(q, k, v, heads).tobytes() == expected.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [1, 9, 16])
+def test_forward_is_bit_identical_to_reference_attention(mini_weights, monkeypatch, t):
+    tokens = np.random.default_rng(t).integers(0, mini_weights.config.vocab_size, size=t)
+    actual = forward(mini_weights, tokens, capture=True)
+    monkeypatch.setattr(model, "_causal_attention", _reference_attention)
+    expected = forward(mini_weights, tokens, capture=True)
+    assert actual.final_hidden.tobytes() == expected.final_hidden.tobytes()
+    for key, value in expected.captured_inputs.items():
+        assert actual.captured_inputs[key].tobytes() == value.tobytes()
 
 
 def test_rmsnorm_unit_gain_property():

@@ -5,7 +5,9 @@ from prunesearch.metric import mask_equivalence_key
 from prunesearch.objective import make_context
 from prunesearch.prune import Unstructured
 from prunesearch.search import (
+    GENE_MAX,
     SearchParams,
+    _class_key,
     all_configs,
     decode,
     environmental_selection,
@@ -44,6 +46,20 @@ class TestDecode:
             decode([-0.1, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError):
             decode([0.1, 0.2, 0.3])
+
+
+def test_class_key_matches_decoded_key_for_every_code_tuple():
+    # The search's fast key must name the same mask class as decoding the
+    # genome, mid-cell and on both sides of every cell edge k/7.
+    def gene_choices(code):
+        edge = code / 7.0
+        top = GENE_MAX if code == 6 else np.nextafter((code + 1) / 7.0, 0.0)
+        return (edge, np.nextafter(edge, 1.0), (code + 0.5) / 7.0, np.nextafter(edge, 0.0), top)
+
+    for cfg in all_configs():
+        for position in range(5):
+            genes = np.array([gene_choices(c)[position] for c in cfg.codes])
+            assert _class_key(genes) == mask_equivalence_key(decode(genes)), genes.tolist()
 
 
 class TestSbx:
