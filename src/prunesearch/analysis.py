@@ -131,15 +131,14 @@ def distribution_summary(weights: ModelWeights, stats: dict) -> DistributionRepo
     return DistributionReport(weight_l1=tuple(weight_l1), activation_l2=tuple(activation_l2))
 
 
-def emit_report(report, format: str, path) -> None:
-    """Write a report as JSON (full detail) or CSV (per-layer summary rows)."""
+def emit_report(report, path) -> None:
+    """Write a report as CSV (per-layer summary rows) when the path ends in
+    .csv, any case, else as JSON (full detail)."""
     path = Path(path)
-    if format == "json":
-        path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    elif format == "csv":
+    if path.suffix.lower() == ".csv":
         with path.open("w", encoding="utf-8", newline="") as f:
             writer = csv.writer(f, lineterminator="\n")
             writer.writerow(report.csv_header)
             writer.writerows(report.csv_rows())
     else:
-        raise ValueError(f"unknown report format {format!r}; expected json or csv")
+        path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -146,10 +146,6 @@ def _csv_sibling(out: str) -> Path:
     return Path(out).with_suffix(".csv")
 
 
-def _report_format(out: str) -> str:
-    return "csv" if Path(out).suffix.lower() == ".csv" else "json"
-
-
 def _cmd_gen_model(args) -> int:
     config = ModelConfig(
         vocab_size=args.vocab,
@@ -233,7 +229,7 @@ def _cmd_align(args) -> int:
     weights = storage.read_model(args.model)
     stats = storage.read_stats(args.stats)
     report = alignment_discrepancy(weights, stats, args.metric)
-    emit_report(report, _report_format(args.out), args.out)
+    emit_report(report, args.out)
     print(f"model mean alignment gap {report.model_mean!r} written to {args.out}")
     return 0
 
@@ -242,7 +238,7 @@ def _cmd_dist(args) -> int:
     weights = storage.read_model(args.model)
     stats = storage.read_stats(args.stats)
     report = distribution_summary(weights, stats)
-    emit_report(report, _report_format(args.out), args.out)
+    emit_report(report, args.out)
     print(f"distribution summary for {len(report.weight_l1)} layers written to {args.out}")
     return 0
 

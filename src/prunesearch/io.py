@@ -41,6 +41,16 @@ class FormatError(ValueError):
     """A file does not match what a writer could have produced."""
 
 
+def _parse_json(data: bytes, what: str):
+    """UTF-8 JSON; any damage is a FormatError. Bad UTF-8, bad JSON and an
+    integer past Python's digit limit are ValueErrors; nesting too deep for
+    the parser is a RecursionError."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"{what}: {exc}") from None
+
+
 # -- binary container ---------------------------------------------------------
 
 
@@ -80,10 +90,7 @@ def _read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
         if version != VERSION:
             raise FormatError(f"unsupported container version {version} (expected {VERSION})")
         (header_len,) = struct.unpack("<I", _read_exact(f, 4, "header length"))
-        try:
-            header = json.loads(_read_exact(f, header_len, "header").decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FormatError(f"bad container header: {exc}") from None
+        header = _parse_json(_read_exact(f, header_len, "header"), "bad container header")
         if not isinstance(header, dict):
             raise FormatError("container header must be a JSON object")
         (count,) = struct.unpack("<I", _read_exact(f, 4, "tensor count"))
@@ -128,6 +135,13 @@ def read_model(path) -> ModelWeights:
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad model config record: {exc}") from None
 
+    # Embeddings, final norm, and 7 sub-modules + 2 norm gains per layer: count
+    # first, so a forged n_layers cannot build a layout or message that large.
+    expected = 3 + 9 * config.n_layers
+    if len(tensors) != expected:
+        raise FormatError(
+            f"model with {config.n_layers} layers has {expected} tensors, file holds {len(tensors)}"
+        )
     shapes = tensor_shapes(config)
     if list(tensors) != list(shapes):
         missing = sorted(set(shapes) - set(tensors))
@@ -152,26 +166,24 @@ def write_calib(path, calib: CalibrationSet) -> None:
 
 def read_calib(path) -> CalibrationSet:
     sequences = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}:{lineno}: malformed JSON line: {exc}") from None
-            if not isinstance(record, dict) or "tokens" not in record:
-                raise FormatError(f"{path}:{lineno}: expected an object with a 'tokens' array")
-            tokens = record["tokens"]
-            if not isinstance(tokens, list) or not all(
-                isinstance(t, int) and not isinstance(t, bool) for t in tokens
-            ):
-                raise FormatError(f"{path}:{lineno}: 'tokens' must be an array of integers")
-            sequences.append(tuple(tokens))
+    # bytes.splitlines breaks lines where text mode does: at \n, \r and \r\n.
+    for lineno, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        if not line.strip():
+            continue
+        record = _parse_json(line, f"{path}:{lineno}: malformed JSON line")
+        if not isinstance(record, dict) or "tokens" not in record:
+            raise FormatError(f"{path}:{lineno}: expected an object with a 'tokens' array")
+        # Ids out of the vocabulary are checked when used; ids beyond int64
+        # could not reach that check.
+        tokens = record["tokens"]
+        if not isinstance(tokens, list) or not all(
+            type(t) is int and -(2**63) <= t < 2**63 for t in tokens
+        ):
+            raise FormatError(f"{path}:{lineno}: 'tokens' must be an array of int64 integers")
+        sequences.append(tuple(tokens))
     if not sequences:
         raise FormatError("empty calibration set")
-    return CalibrationSet(sequences=tuple(sequences), source=str(path))
+    return CalibrationSet(sequences=tuple(sequences))
 
 
 # -- activation stats ---------------------------------------------------------
@@ -190,10 +202,7 @@ def write_stats(path, stats: ActivationStats) -> None:
 
 
 def read_stats(path) -> ActivationStats:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: malformed stats JSON: {exc}") from None
+    doc = _parse_json(Path(path).read_bytes(), f"{path}: malformed stats JSON")
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: stats document must be a JSON object")
     stats: ActivationStats = {}
@@ -268,8 +277,8 @@ def _trial_row(index: int, config, l_div: float) -> dict:
     }
 
 
-def write_results(result: SearchResult, json_path, csv_path=None) -> None:
-    """Full trial log as JSON; optional CSV with one row per trial."""
+def write_results(result: SearchResult, json_path, csv_path) -> None:
+    """Full trial log as JSON, and a CSV with one row per trial."""
     doc = {
         "algorithm": result.algorithm,
         "seed": result.seed,
@@ -280,10 +289,9 @@ def write_results(result: SearchResult, json_path, csv_path=None) -> None:
         "trials": [_trial_row(i, cfg, l_div) for i, cfg, l_div in result.trials],
     }
     Path(json_path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    if csv_path is not None:
-        with open(csv_path, "w", encoding="utf-8", newline="") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(RESULT_CSV_COLUMNS)
-            for i, cfg, l_div in result.trials:
-                row = _trial_row(i, cfg, l_div)
-                writer.writerow([row[col] if col != "l_div" else repr(l_div) for col in RESULT_CSV_COLUMNS])
+    with open(csv_path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(RESULT_CSV_COLUMNS)
+        for i, cfg, l_div in result.trials:
+            row = _trial_row(i, cfg, l_div)
+            writer.writerow([row[col] if col != "l_div" else repr(l_div) for col in RESULT_CSV_COLUMNS])

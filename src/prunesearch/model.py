@@ -37,8 +37,9 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_seq_len"):
-            if int(getattr(self, name)) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model ({self.d_model}) must be divisible by n_heads ({self.n_heads})"

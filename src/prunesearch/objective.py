@@ -20,8 +20,6 @@ ActivationStats = dict[str, SubModuleStats]
 @dataclass(frozen=True)
 class CalibrationSet:
     sequences: tuple[tuple[int, ...], ...]
-    seed: int | None = None
-    source: str | None = None
 
     def __post_init__(self):
         normalized = tuple(tuple(int(t) for t in seq) for seq in self.sequences)
@@ -38,11 +36,7 @@ def synthetic_calibration(vocab_size: int, n_sequences: int, seq_len: int, seed:
         raise ValueError("vocab_size, n_sequences and seq_len must all be >= 1")
     rng = np.random.default_rng(seed)
     ids = rng.integers(0, vocab_size, size=(n_sequences, seq_len))
-    return CalibrationSet(
-        sequences=tuple(tuple(int(t) for t in row) for row in ids),
-        seed=seed,
-        source="synthetic",
-    )
+    return CalibrationSet(sequences=tuple(tuple(int(t) for t in row) for row in ids))
 
 
 def collect_activation_stats(weights: ModelWeights, calib: CalibrationSet) -> ActivationStats:

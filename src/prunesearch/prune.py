@@ -1,9 +1,11 @@
 """Mask construction under sparsity constraints and mask application.
 
 Score matrices and masks are laid out output x input: row i collects the
-weights feeding output neuron i, and selection happens within each row, or
-within each aligned group of m consecutive columns for n:m patterns. Ties are
-broken toward the lower column index, so masks are deterministic.
+weights feeding output neuron i. A sparsity spec splits each row into aligned
+groups of `width` consecutive columns and keeps `keep` entries of each group:
+an unstructured ratio is one group per row, an n:m pattern is groups of m that
+keep n. Ties are broken toward the lower column index, so masks are
+deterministic.
 """
 
 import math
@@ -17,15 +19,28 @@ from .model import ModelWeights, model_from_tensors, model_tensors, sub_module_s
 
 @dataclass(frozen=True)
 class Unstructured:
+    """Drop a fraction `ratio` of each row: one group of width cols per row."""
+
     ratio: float
 
     def __post_init__(self):
         if not 0.0 <= self.ratio <= 1.0:
             raise ValueError(f"sparsity ratio must lie in [0, 1], got {self.ratio}")
 
+    def groups(self, cols: int) -> tuple[int, int]:
+        """(cols, cols - floor(ratio*cols)), where ratio*cols is first snapped
+        to the nearest integer when it lies within 1e-9 of it, so float error
+        cannot change the count (0.29*100 is 28.999999999999996 and drops 29)."""
+        drop = self.ratio * cols
+        if abs(drop - round(drop)) <= 1e-9:
+            drop = round(drop)
+        return cols, cols - math.floor(drop)
+
 
 @dataclass(frozen=True)
 class SemiStructured:
+    """Keep n of every aligned group of m consecutive columns (n:m)."""
+
     n: int
     m: int
 
@@ -33,9 +48,11 @@ class SemiStructured:
         if not 0 < self.n <= self.m:
             raise ValueError(f"n:m pattern requires 0 < n <= m, got {self.n}:{self.m}")
 
-    @property
-    def ratio(self) -> float:
-        return 1.0 - self.n / self.m
+    def groups(self, cols: int) -> tuple[int, int]:
+        """(m, n); cols must be a multiple of m."""
+        if cols % self.m != 0:
+            raise ValueError(f"columns ({cols}) not divisible by group size {self.m}")
+        return self.m, self.n
 
 
 SparsitySpec = Unstructured | SemiStructured
@@ -65,14 +82,6 @@ class Mask:
         if self.bits.ndim != 2 or self.bits.dtype != np.bool_:
             raise ValueError("mask bits must be a 2-D boolean array")
 
-    @property
-    def rows(self) -> int:
-        return self.bits.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.bits.shape[1]
-
 
 MaskSet = dict[str, Mask]
 
@@ -80,29 +89,17 @@ MaskSet = dict[str, Mask]
 def build_mask(scores: np.ndarray, spec: SparsitySpec) -> Mask:
     """Keep the highest-scoring entries allowed by the sparsity constraint.
 
-    Unstructured: per row, drop floor(ratio*cols) entries, where ratio*cols is
-    first snapped to the nearest integer when it lies within 1e-9 of it, so
-    float error cannot change the count (0.29*100 is 28.999999999999996 and
-    drops 29). n:m: per aligned group of m consecutive columns, keep the n
-    largest. Equal scores keep the lower column index (stable descending sort).
+    spec.groups(cols) gives (width, keep): each row of the 2-D scores is split
+    into aligned groups of `width` consecutive columns, and each group keeps
+    its `keep` largest entries. Equal scores keep the lower column index
+    (stable descending sort).
     """
     rows, cols = scores.shape
-    if isinstance(spec, Unstructured):
-        drop = spec.ratio * cols
-        if abs(drop - round(drop)) <= 1e-9:
-            drop = round(drop)
-        keep = cols - int(math.floor(drop))
-        order = np.argsort(-scores, axis=1, kind="stable")
-        bits = np.zeros((rows, cols), dtype=bool)
-        if keep > 0:
-            np.put_along_axis(bits, order[:, :keep], True, axis=1)
-        return Mask(bits=bits)
-    if cols % spec.m != 0:
-        raise ValueError(f"columns ({cols}) not divisible by group size {spec.m}")
-    grouped = scores.reshape(rows, cols // spec.m, spec.m)
-    order = np.argsort(-grouped, axis=2, kind="stable")
+    width, keep = spec.groups(cols)
+    grouped = scores.reshape(-1, width)
+    order = np.argsort(-grouped, axis=1, kind="stable")
     bits = np.zeros(grouped.shape, dtype=bool)
-    np.put_along_axis(bits, order[:, :, : spec.n], True, axis=2)
+    np.put_along_axis(bits, order[:, :keep], True, axis=1)
     return Mask(bits=bits.reshape(rows, cols))
 
 

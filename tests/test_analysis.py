@@ -191,7 +191,7 @@ def test_distribution_zero_weights():
 def test_emit_json_round_trip(tmp_path, mini_weights, mini_stats):
     report = alignment_discrepancy(mini_weights, mini_stats, preset("wanda"))
     path = tmp_path / "align.json"
-    emit_report(report, "json", path)
+    emit_report(report, path)
     doc = json.loads(path.read_text())
     assert doc["model_mean"] == report.model_mean
     for layer in doc["layers"]:
@@ -203,21 +203,23 @@ def test_emit_json_round_trip(tmp_path, mini_weights, mini_stats):
 
 def test_emit_csv_row_count(tmp_path, mini_weights, mini_stats):
     report = alignment_discrepancy(mini_weights, mini_stats, preset("wanda"))
-    path = tmp_path / "align.csv"
-    emit_report(report, "csv", path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == mini_weights.config.n_layers + 1
-    assert lines[0] == "layer,mean_difference"
+    for name in ("align.csv", "align.CSV"):
+        path = tmp_path / name
+        emit_report(report, path)
+        lines = path.read_text().strip().splitlines()
+        assert len(lines) == mini_weights.config.n_layers + 1
+        assert lines[0] == "layer,mean_difference"
 
 
 def test_emit_empty_report_is_header_only(tmp_path):
     empty = AlignmentReport(metric="wanda", layers=(), per_layer=(), model_mean=0.0)
     path = tmp_path / "empty.csv"
-    emit_report(empty, "csv", path)
+    emit_report(empty, path)
     assert path.read_text() == "layer,mean_difference\n"
 
 
-def test_emit_rejects_unknown_format(tmp_path, mini_weights, mini_stats):
+def test_emit_writes_json_for_any_other_suffix(tmp_path, mini_weights, mini_stats):
     report = distribution_summary(mini_weights, mini_stats)
-    with pytest.raises(ValueError):
-        emit_report(report, "xml", tmp_path / "x.xml")
+    for name in ("dist.json", "dist.txt", "dist"):
+        emit_report(report, tmp_path / name)
+        assert json.loads((tmp_path / name).read_text()) == report.to_dict()

@@ -65,6 +65,39 @@ def test_missing_file_is_data_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+_DEEP = b"[" * 100000 + b"]" * 100000
+_MODEL_CONFIG = b'{"d_ff":8,"d_model":8,"max_seq_len":8,"n_heads":2,"n_layers":100000,"vocab_size":32}'
+
+
+@pytest.mark.parametrize(
+    "command, damaged, content",
+    [
+        ("stats", "calib", b'{"tokens":[1000000000000000000000000000000]}\n'),
+        ("eval", "calib", _DEEP + b"\n"),
+        ("eval", "calib", b'{"tokens":[1,\xff]}\n'),
+        ("dist", "stats", _DEEP),
+        ("dist", "stats", b'{"layer.0.q":\xff}'),
+        ("eval", "model", b"OPSH\x01\x00\x00\x00" + len(_DEEP).to_bytes(4, "little") + _DEEP + bytes(4)),
+        ("eval", "model", b"OPSH\x01\x00\x00\x00" + (len(_MODEL_CONFIG) + 26).to_bytes(4, "little")
+         + b'{"config":' + _MODEL_CONFIG + b',"kind":"model"}' + bytes(4)),
+    ],
+    ids=["token-beyond-int64", "deep-calib", "calib-not-utf8", "deep-stats", "stats-not-utf8",
+         "deep-model-header", "header-of-100000-layers"],
+)
+def test_damaged_inputs_exit_2_with_one_line_error(micro_files, capsys, command, damaged, content):
+    micro_files[damaged].write_bytes(content)
+    files = {"model": micro_files["model"], "calib": micro_files["calib"], "stats": micro_files["stats"]}
+    argv = {
+        "stats": ["--model", files["model"], "--calib", files["calib"], "--out", micro_files["dir"] / "s.json"],
+        "eval": ["--dense", files["model"], "--pruned", files["model"], "--calib", files["calib"]],
+        "dist": ["--model", files["model"], "--stats", files["stats"], "--out", micro_files["dir"] / "d.json"],
+    }[command]
+    capsys.readouterr()
+    assert run([command, *map(str, argv)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 500, err[:500]
+
+
 def test_prune_group_misalignment_exits_2(tmp_path, capsys):
     model = tmp_path / "model.opsh"
     calib = tmp_path / "calib.jsonl"
@@ -165,7 +198,7 @@ def test_align_and_dist_are_thin_adapters(micro_files, capsys):
     weights = storage.read_model(micro_files["model"])
     stats = storage.read_stats(micro_files["stats"])
     out_lib = micro_files["dir"] / "dist_lib.json"
-    emit_report(distribution_summary(weights, stats), "json", out_lib)
+    emit_report(distribution_summary(weights, stats), out_lib)
     assert out_cli.read_bytes() == out_lib.read_bytes()
 
 

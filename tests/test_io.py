@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from prunesearch import io as storage
 from prunesearch.metric import preset
 from prunesearch.model import ModelConfig, init_model
-from prunesearch.objective import CalibrationSet
+from prunesearch.objective import CalibrationSet, collect_activation_stats, synthetic_calibration
 from prunesearch.prune import SemiStructured, prune_model, sparsity_of
 from prunesearch.search import SearchParams, nsga2_search
 
@@ -119,22 +119,76 @@ def test_read_model_rejects_a_tensor_name_that_is_not_utf8(tmp_path, mini_weight
         storage.read_model(path)
 
 
+def test_read_model_counts_tensors_before_building_the_layout(tmp_path):
+    # A header that claims 100000 layers over no tensors: the error must say
+    # so briefly instead of naming 900003 missing tensors.
+    config = {"vocab_size": 4, "d_model": 2, "n_layers": 100000, "n_heads": 1, "d_ff": 2, "max_seq_len": 2}
+    path = tmp_path / "forged.opsh"
+    storage._write_container(path, {"kind": "model", "config": config}, [])
+    with pytest.raises(storage.FormatError, match="900003 tensors") as info:
+        storage.read_model(path)
+    assert len(str(info.value)) < 200
+
+
+@pytest.mark.parametrize("field, value", [("n_layers", "1"), ("d_model", 2.0), ("n_heads", True)])
+def test_read_model_rejects_config_fields_that_are_not_integers(tmp_path, field, value):
+    config = {"vocab_size": 4, "d_model": 2, "n_layers": 1, "n_heads": 1, "d_ff": 2, "max_seq_len": 2}
+    path = tmp_path / "model.opsh"
+    storage._write_container(path, {"kind": "model", "config": config | {field: value}}, [])
+    with pytest.raises(storage.FormatError, match=rf"{field} must be an integer"):
+        storage.read_model(path)
+
+
+def _container_with_header(path, header: bytes) -> None:
+    path.write_bytes(storage.MAGIC + struct.pack("<II", storage.VERSION, len(header)) + header
+                     + struct.pack("<I", 0))
+
+
+@pytest.mark.parametrize(
+    "name, write, read",
+    [
+        ("model.opsh", _container_with_header, storage.read_model),
+        ("stats.json", lambda path, doc: path.write_bytes(doc), storage.read_stats),
+        ("calib.jsonl", lambda path, doc: path.write_bytes(doc + b"\n"), storage.read_calib),
+    ],
+    ids=["opsh-header", "stats", "calib"],
+)
+@pytest.mark.parametrize(
+    "doc",
+    [b"[" * 100000 + b"]" * 100000, b'{"tokens":[1], "x": "\xff"}', b'{"tokens":[' + b"9" * 5000 + b"]}"],
+    ids=["nested-100000-deep", "invalid-utf8", "int-beyond-digit-limit"],
+)
+def test_json_readers_turn_any_parse_failure_into_format_error(tmp_path, name, write, read, doc):
+    path = tmp_path / name
+    write(path, doc)
+    with pytest.raises(storage.FormatError) as info:
+        read(path)
+    assert "\n" not in str(info.value)
+
+
+def test_read_calib_rejects_tokens_beyond_int64(tmp_path):
+    path = tmp_path / "calib.jsonl"
+    for token in (2**63, -(2**63) - 1, 10**30):
+        path.write_text(json.dumps({"tokens": [1, token]}) + "\n")
+        with pytest.raises(storage.FormatError, match="int64"):
+            storage.read_calib(path)
+    path.write_text(json.dumps({"tokens": [2**63 - 1, -(2**63)]}) + "\n")
+    assert storage.read_calib(path).sequences == ((2**63 - 1, -(2**63)),)
+
+
 # A 1-layer model small enough that names, shapes and the header make up most
 # of the file, so random damage often lands outside the weight payloads.
 _TINY_MODEL = init_model(ModelConfig(4, 2, 1, 1, 2, 2), seed=5)
+_TINY_CALIB = synthetic_calibration(4, 2, 2, seed=5)
 
-
-@settings(max_examples=150, deadline=None, database=None, derandomize=True)
-@given(
-    damage=st.one_of(
-        st.integers(min_value=0, max_value=10**6).map(lambda n: ("truncate", n)),
-        st.lists(st.integers(min_value=0, max_value=10**7), min_size=1, max_size=3, unique=True)
-        .map(lambda bits: ("flip", bits)),
-    )
+_DAMAGE = st.one_of(
+    st.integers(min_value=0, max_value=10**6).map(lambda n: ("truncate", n)),
+    st.lists(st.integers(min_value=0, max_value=10**7), min_size=1, max_size=3, unique=True)
+    .map(lambda bits: ("flip", bits)),
 )
-def test_read_model_damaged_file_raises_only_format_error(tmp_path_factory, damage):
-    path = tmp_path_factory.mktemp("damaged") / "model.opsh"
-    storage.write_model(path, _TINY_MODEL)
+
+
+def _damage(path, damage) -> None:
     data = bytearray(path.read_bytes())
     how, where = damage
     if how == "truncate":
@@ -143,10 +197,39 @@ def test_read_model_damaged_file_raises_only_format_error(tmp_path_factory, dama
         for bit in {b % (8 * len(data)) for b in where}:
             data[bit // 8] ^= 1 << (bit % 8)
     path.write_bytes(bytes(data))
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(damage=_DAMAGE)
+def test_read_model_damaged_file_raises_only_format_error(tmp_path_factory, damage):
+    path = tmp_path_factory.mktemp("damaged") / "model.opsh"
+    storage.write_model(path, _TINY_MODEL)
+    _damage(path, damage)
     try:
         storage.read_model(path)
     except storage.FormatError:
         pass  # a flipped mantissa bit can leave a valid model; any other error fails
+
+
+@pytest.mark.parametrize(
+    "name, write, read",
+    [
+        ("stats.json", lambda path: storage.write_stats(path, collect_activation_stats(_TINY_MODEL, _TINY_CALIB)),
+         storage.read_stats),
+        ("calib.jsonl", lambda path: storage.write_calib(path, _TINY_CALIB), storage.read_calib),
+    ],
+    ids=["stats", "calib"],
+)
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(damage=_DAMAGE)
+def test_read_json_damaged_file_raises_only_format_error(tmp_path_factory, name, write, read, damage):
+    path = tmp_path_factory.mktemp("damaged") / name
+    write(path)
+    _damage(path, damage)
+    try:
+        read(path)
+    except storage.FormatError:
+        pass  # a flipped digit can leave a valid file; any other error fails
 
 
 def test_container_rejects_duplicate_names(tmp_path):

@@ -1,3 +1,4 @@
+import math
 
 import numpy as np
 import pytest
@@ -25,7 +26,16 @@ def test_spec_validation():
         SemiStructured(5, 4)
     with pytest.raises(ValueError):
         SemiStructured(0, 4)
-    assert SemiStructured(2, 4).ratio == 0.5
+
+
+def test_spec_groups():
+    assert Unstructured(0.5).groups(10) == (10, 5)
+    assert Unstructured(0.29).groups(100) == (100, 71)  # 28.999999999999996 snaps to 29
+    assert Unstructured(0.0).groups(7) == (7, 7)
+    assert Unstructured(1.0).groups(7) == (7, 0)
+    assert SemiStructured(2, 4).groups(8) == (4, 2)
+    with pytest.raises(ValueError, match="not divisible"):
+        SemiStructured(2, 4).groups(6)
 
 
 def test_parse_sparsity():
@@ -80,6 +90,52 @@ def test_unstructured_row_counts_exact():
         assert (mask.bits.sum(axis=1) == cols - dropped).all()
 
 
+def _two_branch_build_mask(scores, spec):
+    """build_mask as it was before the one-path rewrite: a per-row sort for a
+    ratio and a per-group sort for n:m."""
+    rows, cols = scores.shape
+    if isinstance(spec, Unstructured):
+        drop = spec.ratio * cols
+        if abs(drop - round(drop)) <= 1e-9:
+            drop = round(drop)
+        keep = cols - int(math.floor(drop))
+        order = np.argsort(-scores, axis=1, kind="stable")
+        bits = np.zeros((rows, cols), dtype=bool)
+        if keep > 0:
+            np.put_along_axis(bits, order[:, :keep], True, axis=1)
+        return bits
+    grouped = scores.reshape(rows, cols // spec.m, spec.m)
+    order = np.argsort(-grouped, axis=2, kind="stable")
+    bits = np.zeros(grouped.shape, dtype=bool)
+    np.put_along_axis(bits, order[:, :, : spec.n], True, axis=2)
+    return bits.reshape(rows, cols)
+
+
+@pytest.mark.parametrize(
+    "spec, cols",
+    [
+        (Unstructured(0.0), 40),
+        (Unstructured(0.25), 40),
+        (Unstructured(0.29), 100),
+        (Unstructured(0.5), 40),
+        (Unstructured(1.0), 40),
+        (SemiStructured(1, 4), 40),
+        (SemiStructured(2, 4), 40),
+        (SemiStructured(4, 8), 40),
+    ],
+    ids=str,
+)
+def test_build_mask_matches_two_branch_reference(spec, cols):
+    # Small integer scores tie heavily, so the tie order is exercised too.
+    rng = np.random.default_rng(12)
+    for levels in (2, 3, 1000):
+        for rows in (1, 7, 16):
+            scores = rng.integers(0, levels, size=(rows, cols)).astype(np.float64)
+            mask = build_mask(scores, spec)
+            assert mask.bits.tobytes() == _two_branch_build_mask(scores, spec).tobytes()
+            assert mask.bits.shape == (rows, cols)
+
+
 def test_mask_depends_only_on_order():
     rng = np.random.default_rng(2)
     for spec in (Unstructured(0.5), SemiStructured(2, 4)):
@@ -121,7 +177,7 @@ def test_prune_model_structure(mini_weights, mini_stats):
     pruned, masks = prune_model(mini_weights, mini_stats, preset("wanda"), Unstructured(0.5))
     assert len(masks) == 7 * mini_weights.config.n_layers
     for mask in masks.values():
-        assert (mask.bits.sum(axis=1) * 2 == mask.cols).all()
+        assert (mask.bits.sum(axis=1) * 2 == mask.bits.shape[1]).all()
     # untouched tensors are shared, pruned copies are new
     assert pruned.token_embedding is mini_weights.token_embedding
     assert pruned.layers[0].q is not mini_weights.layers[0].q
@@ -136,7 +192,8 @@ def test_prune_model_preserves_original(mini_weights, mini_stats):
 def test_prune_model_2_4_constraint(mini_weights, mini_stats):
     _, masks = prune_model(mini_weights, mini_stats, preset("wanda"), SemiStructured(2, 4))
     for mask in masks.values():
-        groups = mask.bits.reshape(mask.rows, mask.cols // 4, 4)
+        rows, cols = mask.bits.shape
+        groups = mask.bits.reshape(rows, cols // 4, 4)
         assert (groups.sum(axis=2) == 2).all()
 
 
