@@ -2,7 +2,7 @@
 
 from .metric import MAGNITUDE, Coeff, MetricConfig, MetricKind, Transform, preset
 from .model import ModelConfig, ModelWeights, forward, init_model
-from .objective import CalibrationSet, evaluate_config, make_context, synthetic_calibration
+from .objective import CalibrationSet, evaluate_config, evaluate_configs, make_context, synthetic_calibration
 from .prune import Mask, SemiStructured, Unstructured, build_mask, prune_model
 from .search import SearchParams, SearchResult, exhaustive_search, nsga2_search, random_search
 
@@ -24,6 +24,7 @@ __all__ = [
     "Unstructured",
     "build_mask",
     "evaluate_config",
+    "evaluate_configs",
     "exhaustive_search",
     "forward",
     "init_model",

@@ -243,6 +243,11 @@ def read_stats(path) -> ActivationStats:
 
 
 def write_masks(path, masks: MaskSet) -> None:
+    """One 2-D uint8 tensor per sub-module; a stacked mask is rejected before
+    any byte is written, since read_masks accepts 2-D masks only."""
+    for name, mask in masks.items():
+        if mask.bits.ndim != 2:
+            raise ValueError(f"mask {name!r} has shape {mask.bits.shape}; only 2-D masks can be written")
     tensors = [(name, masks[name].bits.astype(np.uint8), DTYPE_U8) for name in masks]
     _write_container(path, {"kind": "masks"}, tensors)
 

@@ -45,10 +45,6 @@ class ModelConfig:
                 f"d_model ({self.d_model}) must be divisible by n_heads ({self.n_heads})"
             )
 
-    @property
-    def head_dim(self) -> int:
-        return self.d_model // self.n_heads
-
 
 @dataclass(eq=False)
 class LayerWeights:

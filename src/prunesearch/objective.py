@@ -6,13 +6,14 @@ states. Any positive normalization preserves the ranking of configs; this one
 keeps values comparable across calibration sizes.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .metric import MetricKind, SubModuleStats
 from .model import ModelWeights, final_hidden_batch, forward
-from .prune import SparsitySpec, prune_model
+from .prune import SparsitySpec, apply_masks, packed_mask_sets, unpack_mask_set
 
 ActivationStats = dict[str, SubModuleStats]
 
@@ -102,10 +103,11 @@ class EvalContext:
     """Shared inputs for scoring candidate configs.
 
     The dense hidden cache and activation stats are computed once and reused
-    for every candidate. `fitness_by_masks` maps the packed bits of a pruned
-    model's mask set to its fitness, so fitness is computed once per distinct
-    mask set per context. It holds about params/8 bytes (one bit per prunable
-    weight) per distinct mask set and lives as long as the context.
+    for every candidate. `fitness_by_masks` maps a packed mask set (the
+    packed bits of each mask in sub-module order) to its fitness, so the pruned copy and its
+    divergence are computed once per distinct mask set per context. It holds
+    about params/8 bytes (one bit per prunable weight) per distinct mask set
+    and lives as long as the context.
     """
 
     weights: ModelWeights
@@ -126,19 +128,29 @@ def make_context(weights: ModelWeights, calib: CalibrationSet, spec: SparsitySpe
     )
 
 
-def evaluate_config(ctx: EvalContext, kind: MetricKind) -> Fitness:
-    """Score -> mask -> pruned copy -> divergence; pure in (ctx, kind).
+def evaluate_configs(ctx: EvalContext, kinds: Sequence[MetricKind]) -> list[Fitness]:
+    """Fitness of each kind, in input order; pure in (ctx, kinds).
 
-    Every call scores and masks, but the divergence forward runs only for a
-    mask set the context has not seen: identical masks give identical pruned
-    weights, so a cached fitness is bit-identical to a recomputed one. Search
-    budgets count configs, not forwards.
+    The distinct kinds are masked together by packed_mask_sets (one weight
+    factor and a few stacked build_mask calls per (alpha, f1) group and
+    sub-module). A mask set the context has seen takes its cached fitness;
+    only a new one is unpacked, applied to a pruned copy and run through
+    divergence. Identical masks give identical pruned weights, so a cached
+    fitness is bit-identical to a recomputed one. Search budgets count
+    configs, not forwards.
     """
-    pruned, masks = prune_model(ctx.weights, ctx.stats, kind, ctx.spec)
-    # Mask shapes are fixed by the context's weights, so the packed bits in
-    # sub-module order identify the mask set exactly.
-    key = b"".join(np.packbits(m.bits).tobytes() for m in masks.values())
-    fit = ctx.fitness_by_masks.get(key)
-    if fit is None:
-        fit = ctx.fitness_by_masks[key] = divergence(ctx.dense_hidden, pruned, ctx.calib)
-    return fit
+    distinct = list(dict.fromkeys(kinds))
+    fitness: dict[MetricKind, Fitness] = {}
+    for i, packed in packed_mask_sets(ctx.weights, ctx.stats, distinct, ctx.spec):
+        fit = ctx.fitness_by_masks.get(packed)
+        if fit is None:
+            pruned = apply_masks(ctx.weights, unpack_mask_set(packed, ctx.weights.config))
+            fit = ctx.fitness_by_masks[packed] = divergence(ctx.dense_hidden, pruned, ctx.calib)
+        fitness[distinct[i]] = fit
+    return [fitness[kind] for kind in kinds]
+
+
+def evaluate_config(ctx: EvalContext, kind: MetricKind) -> Fitness:
+    """Score -> mask -> (pruned copy -> divergence on a new mask set) for one
+    kind: evaluate_configs(ctx, [kind])[0]."""
+    return evaluate_configs(ctx, [kind])[0]

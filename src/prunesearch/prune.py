@@ -9,12 +9,20 @@ deterministic.
 """
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import MetricKind, check_stats, score
-from .model import ModelWeights, model_from_tensors, model_tensors, sub_module_shapes
+from .metric import Magnitude, MetricKind, SubModuleStats, activation_factor, check_stats, score, weight_factor
+from .model import ModelConfig, ModelWeights, model_from_tensors, model_tensors, sub_module_shapes
+
+# Most scores one build_mask call of packed_mask_sets sorts, unless a single
+# matrix is larger. A group's stack of score matrices is masked in slices of
+# this size, so the stack stays about 1 MB at any model width: a whole
+# 49-config group at the 2-layer fixture (64 x 32 at most), one config per
+# call at d_ff 1024 x d_model 256.
+MAX_SCORES_PER_CALL = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -76,11 +84,18 @@ def parse_sparsity(text: str) -> SparsitySpec:
 
 @dataclass(eq=False)
 class Mask:
-    bits: np.ndarray  # bool, output x input; True = keep
+    """Keep flags of one sub-module, output x input; True = keep.
+
+    The bits may carry leading batch axes: build_mask masks a stack of score
+    matrices (one per config) at once. The masks of a pruned model, and the
+    masks a file holds, are 2-D.
+    """
+
+    bits: np.ndarray
 
     def __post_init__(self):
-        if self.bits.ndim != 2 or self.bits.dtype != np.bool_:
-            raise ValueError("mask bits must be a 2-D boolean array")
+        if self.bits.ndim < 2 or self.bits.dtype != np.bool_:
+            raise ValueError("mask bits must be a boolean array of at least 2 dimensions")
 
 
 MaskSet = dict[str, Mask]
@@ -89,18 +104,19 @@ MaskSet = dict[str, Mask]
 def build_mask(scores: np.ndarray, spec: SparsitySpec) -> Mask:
     """Keep the highest-scoring entries allowed by the sparsity constraint.
 
-    spec.groups(cols) gives (width, keep): each row of the 2-D scores is split
-    into aligned groups of `width` consecutive columns, and each group keeps
-    its `keep` largest entries. Equal scores keep the lower column index
-    (stable descending sort).
+    spec.groups(cols) gives (width, keep): each row of the output x input
+    scores is split into aligned groups of `width` consecutive columns, and
+    each group keeps its `keep` largest entries. Equal scores keep the lower
+    column index (stable descending sort). Scores may carry leading batch axes
+    (a stack of matrices): every row is masked on its own, so the bits of a
+    stack equal build_mask on each of its slices.
     """
-    rows, cols = scores.shape
-    width, keep = spec.groups(cols)
+    width, keep = spec.groups(scores.shape[-1])
     grouped = scores.reshape(-1, width)
     order = np.argsort(-grouped, axis=1, kind="stable")
     bits = np.zeros(grouped.shape, dtype=bool)
     np.put_along_axis(bits, order[:, :keep], True, axis=1)
-    return Mask(bits=bits.reshape(rows, cols))
+    return Mask(bits=bits.reshape(scores.shape))
 
 
 def apply_mask(w: np.ndarray, mask: Mask) -> np.ndarray:
@@ -115,6 +131,87 @@ def sparsity_of(mask: Mask) -> float:
     return 1.0 - float(np.count_nonzero(mask.bits)) / mask.bits.size
 
 
+def packed_mask_sets(
+    weights: ModelWeights,
+    stats: dict[str, SubModuleStats],
+    kinds: Sequence[MetricKind],
+    spec: SparsitySpec,
+) -> Iterator[tuple[int, bytes]]:
+    """(index into kinds, packed mask set) for every kind, one weight side at
+    a time. A packed mask set is np.packbits of each sub-module's mask in
+    sub-module order: it identifies the mask set exactly for the model's
+    shapes, and unpack_mask_set turns it back into masks.
+
+    Kinds are grouped by (alpha, f1); magnitude is a group of its own. Per
+    group and sub-module the weight factor is computed once and multiplied by
+    the stacked activation factors of the members (each computed once per
+    sub-module and (beta, f2)), and the stack is masked by build_mask calls of
+    at most MAX_SCORES_PER_CALL scores. Every score is the product that
+    `score` forms from the same two operands, so each mask set is bit for bit
+    the one build_mask(score(...)) gives. Only the packed bits of one group
+    are kept: params/8 bytes per member.
+    """
+    shapes = sub_module_shapes(weights.config)
+    check_stats(stats, shapes)
+    tensors = model_tensors(weights)
+    # Stored layout is input x output; score and mask rows compare the
+    # weights feeding one output neuron.
+    w_oi = {key: tensors[key].T for key in shapes}
+    groups: dict[object, list[int]] = {}
+    for i, kind in enumerate(kinds):
+        # Magnitude ignores the activation side and is a group of its own.
+        weight_side = kind if isinstance(kind, Magnitude) else (kind.alpha, kind.f1)
+        groups.setdefault(weight_side, []).append(i)
+    act: dict[tuple, np.ndarray] = {}
+    for members in groups.values():
+        lead = kinds[members[0]]
+        packed = []
+        for key, w in w_oi.items():
+            if isinstance(lead, Magnitude):
+                # |W| times a unit activation side: x * 1.0 is exactly x.
+                factor = score(w, stats[key], lead)
+                side = np.ones((len(members), w.shape[1]))
+            else:
+                factor = weight_factor(w, lead)
+                for cfg in (kinds[i] for i in members):
+                    if (key, cfg.beta, cfg.f2) not in act:
+                        act[key, cfg.beta, cfg.f2] = activation_factor(stats[key], cfg)
+                side = np.array([act[key, kinds[i].beta, kinds[i].f2] for i in members])
+            per_call = max(1, MAX_SCORES_PER_CALL // w.size)
+            slices = []
+            for start in range(0, len(members), per_call):
+                bits = build_mask(factor * side[start:start + per_call, None, :], spec).bits
+                slices.append(np.packbits(bits.reshape(len(bits), -1), axis=1))
+            packed.append(np.concatenate(slices))
+        for i, row in zip(members, np.concatenate(packed, axis=1)):
+            yield i, row.tobytes()
+
+
+def unpack_mask_set(packed: bytes, config: ModelConfig) -> MaskSet:
+    """The masks of one packed mask set of a model with this config."""
+    shapes = sub_module_shapes(config)
+    sizes = [-(-inputs * outputs // 8) for inputs, outputs in shapes.values()]
+    if len(packed) != sum(sizes):
+        raise ValueError(f"packed mask set holds {len(packed)} bytes, the model needs {sum(sizes)}")
+    flags = np.unpackbits(np.frombuffer(packed, np.uint8)).view(np.bool_)
+    masks: MaskSet = {}
+    offset = 0
+    for (key, (inputs, outputs)), size in zip(shapes.items(), sizes):
+        masks[key] = Mask(bits=flags[offset:offset + inputs * outputs].reshape(outputs, inputs))
+        offset += 8 * size
+    return masks
+
+
+def apply_masks(weights: ModelWeights, masks: MaskSet) -> ModelWeights:
+    """A pruned copy: each masked sub-module keeps its kept entries exactly and
+    zeroes the rest. Embeddings, norm gains and unmasked sub-modules are
+    shared with the input, which stays untouched."""
+    tensors = model_tensors(weights)
+    for key, mask in masks.items():
+        tensors[key] = np.ascontiguousarray(apply_mask(tensors[key].T, mask).T)
+    return model_from_tensors(weights.config, tensors)
+
+
 def prune_model(
     weights: ModelWeights,
     stats: dict,
@@ -125,16 +222,9 @@ def prune_model(
 
     Returns a pruned copy (the input weights stay untouched) plus the masks in
     output x input orientation. Embeddings and norm gains are shared, never
-    pruned.
+    pruned. The masks come from packed_mask_sets, the rule that search and
+    the exhaustive oracle use.
     """
-    shapes = sub_module_shapes(weights.config)
-    check_stats(stats, shapes)
-    tensors = model_tensors(weights)
-    masks: MaskSet = {}
-    for key in shapes:
-        # Stored layout is input x output; score and mask rows compare the
-        # weights feeding one output neuron.
-        w_oi = tensors[key].T
-        masks[key] = mask = build_mask(score(w_oi, stats[key], kind), spec)
-        tensors[key] = np.ascontiguousarray(apply_mask(w_oi, mask).T)
-    return model_from_tensors(weights.config, tensors), masks
+    [(_, packed)] = packed_mask_sets(weights, stats, [kind], spec)
+    masks = unpack_mask_set(packed, weights.config)
+    return apply_masks(weights, masks), masks

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metric import N_COEFFS, N_TRANSFORMS, SPACE_SIZE, MetricConfig, mask_equivalence_key
-from .objective import EvalContext, evaluate_config
+from .objective import EvalContext, evaluate_config, evaluate_configs
 
 GENE_COUNT = 4
 GENE_MAX = 1.0 - 1e-9  # genes stay in [0, 1) so floor-decoding never overflows
@@ -338,13 +338,16 @@ def exhaustive_search(ctx: EvalContext) -> SearchResult:
     ascending fitness (ties stay in lexicographic code order). This is the
     ground-truth optimum the other algorithms are checked against.
 
-    Fitness is computed once per distinct mask set per context (about 434 of
-    the 2401 configs at the 2-layer fixture), while the budget counts all 2401
-    configs. The context keeps about params/8 bytes per distinct mask set for
-    its lifetime.
+    All 2401 configs go through one evaluate_configs call: 49 (alpha, f1)
+    groups, each masked with one weight factor and one build_mask call per
+    sub-module (more only where MAX_SCORES_PER_CALL splits a group). A pruned
+    copy and its divergence are computed once per distinct mask set per
+    context (434 of the 2401 configs at the 2-layer fixture at 0.5), while the
+    budget counts all 2401 configs. The context keeps about params/8 bytes per
+    distinct mask set for its lifetime.
     """
     configs = all_configs()
-    values = [evaluate_config(ctx, cfg).l_div for cfg in configs]
+    values = [fit.l_div for fit in evaluate_configs(ctx, configs)]
     ranked = sorted(zip(configs, values), key=lambda pair: pair[1])
     trials = [(i, cfg, value) for i, (cfg, value) in enumerate(ranked)]
     return SearchResult(

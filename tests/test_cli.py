@@ -1,6 +1,9 @@
 import json
+import shutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prunesearch import io as storage
 from prunesearch.analysis import distribution_summary, emit_report
@@ -227,3 +230,56 @@ def test_stats_cli_matches_library(micro_files, tmp_path, capsys):
     storage.write_stats(lib_path, collect_activation_stats(weights, calib))
     assert lib_path.read_bytes() == micro_files["stats"].read_bytes()
     capsys.readouterr()
+
+
+# Damage to one input file: a truncation at any length or one to three
+# flipped bits anywhere (header, payload or JSON text). Positions come from a
+# seeded Random so that they spread over the whole file.
+_INPUT_DAMAGE = st.tuples(
+    st.sampled_from(("model", "calib", "stats")),
+    st.sampled_from(("truncate", "flip")),
+    st.randoms(use_true_random=False),
+)
+
+
+@pytest.fixture(scope="module")
+def clean_micro_files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("clean")
+    files = {"model": tmp / "model.opsh", "calib": tmp / "calib.jsonl", "stats": tmp / "stats.json",
+             "pruned": tmp / "pruned.opsh"}
+    assert run(["gen-model", *MICRO, "--seed", "1", "--out", str(files["model"])]) == 0
+    assert run(["gen-calib", "--vocab", "32", "--seqs", "2", "--len", "8", "--seed", "2",
+                "--out", str(files["calib"])]) == 0
+    assert run(["stats", "--model", str(files["model"]), "--calib", str(files["calib"]),
+                "--out", str(files["stats"])]) == 0
+    assert run(["prune", "--model", str(files["model"]), "--stats", str(files["stats"]),
+                "--metric", "wanda", "--sparsity", "0.5", "--out", str(files["pruned"])]) == 0
+    return files
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(damage=_INPUT_DAMAGE)
+def test_every_command_on_a_damaged_input_exits_with_a_code(clean_micro_files, tmp_path_factory, damage):
+    work = tmp_path_factory.mktemp("damaged")
+    files = {name: shutil.copy(path, work / path.name) for name, path in clean_micro_files.items()}
+    target, how, rnd = damage
+    data = bytearray(files[target].read_bytes())
+    if how == "truncate":
+        del data[rnd.randrange(len(data)):]
+    else:
+        for bit in rnd.sample(range(8 * len(data)), rnd.randint(1, 3)):
+            data[bit // 8] ^= 1 << (bit % 8)
+    files[target].write_bytes(bytes(data))
+    model, calib, stats = (str(files[name]) for name in ("model", "calib", "stats"))
+    commands = [
+        ["stats", "--model", model, "--calib", calib, "--out", str(work / "s.json")],
+        ["prune", "--model", model, "--stats", stats, "--metric", "wanda", "--sparsity", "0.5",
+         "--out", str(work / "p.opsh")],
+        ["eval", "--dense", model, "--pruned", str(files["pruned"]), "--calib", calib],
+        ["align", "--model", model, "--stats", stats, "--metric", "wanda", "--out", str(work / "a.json")],
+        ["dist", "--model", model, "--stats", stats, "--out", str(work / "d.json")],
+        ["search", "--model", model, "--calib", calib, "--sparsity", "0.5", "--budget", "4",
+         "--pop", "4", "--seed", "1", "--out", str(work / "r.json")],
+    ]
+    for argv in commands:
+        assert run(argv) in (0, 1, 2), argv[0]

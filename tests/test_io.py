@@ -11,7 +11,7 @@ from prunesearch import io as storage
 from prunesearch.metric import preset
 from prunesearch.model import ModelConfig, init_model
 from prunesearch.objective import CalibrationSet, collect_activation_stats, synthetic_calibration
-from prunesearch.prune import SemiStructured, prune_model, sparsity_of
+from prunesearch.prune import Mask, SemiStructured, prune_model, sparsity_of
 from prunesearch.search import SearchParams, nsga2_search
 
 
@@ -336,6 +336,14 @@ def test_masks_round_trip(tmp_path, mini_weights, mini_stats):
     again = tmp_path / "masks2.opsh"
     storage.write_masks(again, loaded)
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_write_masks_rejects_a_stacked_mask_before_writing(tmp_path):
+    path = tmp_path / "masks.opsh"
+    masks = {"layer.0.q": Mask(bits=np.ones((2, 4, 4), dtype=bool))}
+    with pytest.raises(ValueError, match="2-D"):
+        storage.write_masks(path, masks)
+    assert not path.exists()
 
 
 def test_read_masks_rejects_non_binary(tmp_path):

@@ -30,12 +30,6 @@ def test_config_validation():
         ModelConfig(vocab_size=0, d_model=8, n_layers=1, n_heads=2, d_ff=8, max_seq_len=8)
 
 
-def test_head_dim(mini_config):
-    config = ModelConfig(vocab_size=8, d_model=32, n_layers=1, n_heads=4, d_ff=8, max_seq_len=8)
-    assert config.head_dim == 8
-    assert mini_config.head_dim * mini_config.n_heads == mini_config.d_model
-
-
 def test_init_deterministic(mini_config):
     a = init_model(mini_config, 42)
     b = init_model(mini_config, 42)

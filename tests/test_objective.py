@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from prunesearch import objective
+from prunesearch import objective, prune
 from prunesearch.metric import SPACE_SIZE, preset
 from prunesearch.model import final_hidden_batch, forward
 from prunesearch.objective import (
@@ -10,6 +10,7 @@ from prunesearch.objective import (
     collect_activation_stats,
     divergence,
     evaluate_config,
+    evaluate_configs,
     make_context,
     synthetic_calibration,
     token_mean_sqdist,
@@ -162,6 +163,37 @@ def test_exhaustive_runs_one_divergence_per_distinct_mask_set(mini_weights, mini
     result = exhaustive_search(ctx)
     assert len(calls) == len(mask_sets) < SPACE_SIZE
     assert {cfg: value for _, cfg, value in result.trials} == reference  # bit for bit
+
+
+def test_exhaustive_masks_once_per_group_and_copies_once_per_mask_set(mini_weights, mini_calib, monkeypatch):
+    ctx = make_context(mini_weights, mini_calib, Unstructured(0.5))
+    build_calls, copies = [], []
+    build_mask, apply_masks = prune.build_mask, prune.apply_masks
+
+    def counting_build_mask(scores, spec):
+        build_calls.append(scores.shape)
+        return build_mask(scores, spec)
+
+    def counting_apply_masks(weights, masks):
+        copies.append(1)
+        return apply_masks(weights, masks)
+
+    monkeypatch.setattr(prune, "build_mask", counting_build_mask)
+    monkeypatch.setattr(objective, "apply_masks", counting_apply_masks)
+    exhaustive_search(ctx)
+    # 49 (alpha, f1) groups x 14 sub-modules; no group is split at this width.
+    assert len(build_calls) == 49 * 7 * mini_weights.config.n_layers
+    assert all(shape[0] == 49 for shape in build_calls)
+    assert len(copies) == len(ctx.fitness_by_masks) < SPACE_SIZE
+
+
+def test_evaluate_configs_keeps_input_order_and_duplicates(mini_weights, mini_calib):
+    kinds = [preset("ria"), preset("magnitude"), preset("wanda"), preset("ria"), preset("magnitude")]
+    grouped = evaluate_configs(make_context(mini_weights, mini_calib, Unstructured(0.5)), kinds)
+    one_by_one = make_context(mini_weights, mini_calib, Unstructured(0.5))
+    assert [fit.l_div for fit in grouped] == [evaluate_config(one_by_one, kind).l_div for kind in kinds]
+    assert grouped[0] is grouped[3] and grouped[1] is grouped[4]
+    assert evaluate_configs(one_by_one, []) == []
 
 
 def test_fitness_rejects_non_finite():

@@ -3,18 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from prunesearch.metric import preset
-from prunesearch.model import forward, sub_module_key
+from prunesearch import prune
+from prunesearch.metric import MAGNITUDE, Coeff, Transform, preset, score
+from prunesearch.model import ModelConfig, forward, init_model, model_tensors, sub_module_key, sub_module_shapes
+from prunesearch.objective import collect_activation_stats, synthetic_calibration
 from prunesearch.prune import (
+    MAX_SCORES_PER_CALL,
     Mask,
     SemiStructured,
     Unstructured,
     apply_mask,
     build_mask,
+    packed_mask_sets,
     parse_sparsity,
     prune_model,
     sparsity_of,
+    unpack_mask_set,
 )
+from prunesearch.search import all_configs
 
 
 def test_spec_validation():
@@ -134,6 +140,91 @@ def test_build_mask_matches_two_branch_reference(spec, cols):
             mask = build_mask(scores, spec)
             assert mask.bits.tobytes() == _two_branch_build_mask(scores, spec).tobytes()
             assert mask.bits.shape == (rows, cols)
+
+
+@pytest.mark.parametrize(
+    "spec", [Unstructured(0.0), Unstructured(0.29), Unstructured(0.5), Unstructured(1.0),
+             SemiStructured(2, 4), SemiStructured(4, 8)],
+    ids=str,
+)
+def test_build_mask_on_a_stack_equals_each_slice(spec):
+    # Two and three score levels tie heavily, so the tie order is exercised.
+    rng = np.random.default_rng(21)
+    for levels in (2, 3, 1000):
+        for shape in ((5, 7, 40), (2, 3, 1, 40)):
+            scores = rng.integers(0, levels, size=shape).astype(np.float64)
+            stack = build_mask(scores, spec)
+            assert stack.bits.shape == shape
+            for index in np.ndindex(shape[:-2]):
+                assert stack.bits[index].tobytes() == build_mask(scores[index], spec).bits.tobytes()
+
+
+def test_mask_rejects_bits_below_two_dimensions():
+    with pytest.raises(ValueError):
+        Mask(bits=np.ones(4, dtype=bool))
+    with pytest.raises(ValueError):
+        build_mask(np.ones(4), Unstructured(0.5))
+
+
+def _per_config_masks(weights, stats, kind, spec):
+    tensors = model_tensors(weights)
+    return {
+        key: build_mask(score(tensors[key].T, stats[key], kind), spec).bits
+        for key in sub_module_shapes(weights.config)
+    }
+
+
+@pytest.mark.parametrize("spec", [Unstructured(0.5), SemiStructured(2, 4)], ids=["0.5", "2:4"])
+def test_packed_mask_sets_match_per_config_score_and_mask(mini_weights, mini_stats, spec):
+    kinds = [*all_configs(), MAGNITUDE]
+    seen = []
+    for i, packed in packed_mask_sets(mini_weights, mini_stats, kinds, spec):
+        seen.append(i)
+        masks = unpack_mask_set(packed, mini_weights.config)
+        reference = _per_config_masks(mini_weights, mini_stats, kinds[i], spec)
+        assert list(masks) == list(reference)
+        for key, mask in masks.items():
+            assert mask.bits.tobytes() == reference[key].tobytes(), (kinds[i], key)
+        assert packed == b"".join(np.packbits(bits).tobytes() for bits in reference.values())
+    assert sorted(seen) == list(range(len(kinds)))
+
+
+def test_packed_mask_sets_split_by_the_cap_give_the_same_bits(monkeypatch):
+    # d_ff 128 x d_model 32 is 4096 scores per matrix, so a 49-config group
+    # of gate, up or down is cut into slices of MAX_SCORES_PER_CALL // 4096.
+    config = ModelConfig(vocab_size=32, d_model=32, n_layers=1, n_heads=2, d_ff=128, max_seq_len=8)
+    weights = init_model(config, seed=4)
+    stats = collect_activation_stats(weights, synthetic_calibration(32, 2, 8, seed=5))
+    group = [cfg for cfg in all_configs() if (cfg.alpha, cfg.f1) == (Coeff.RELATIVE, Transform.SQRT)]
+    shapes = sub_module_shapes(config)
+    expected_calls = sum(-(-len(group) // max(1, MAX_SCORES_PER_CALL // (i * o))) for i, o in shapes.values())
+    assert expected_calls > len(shapes)
+
+    calls = []
+
+    def counting_build_mask(scores, spec):
+        calls.append(scores.shape)
+        return build_mask(scores, spec)
+
+    monkeypatch.setattr(prune, "build_mask", counting_build_mask)
+    for spec in (Unstructured(0.5), SemiStructured(2, 4)):
+        calls.clear()
+        for i, packed in packed_mask_sets(weights, stats, group, spec):
+            reference = _per_config_masks(weights, stats, group[i], spec)
+            for key, mask in unpack_mask_set(packed, config).items():
+                assert mask.bits.tobytes() == reference[key].tobytes(), (group[i], key)
+        assert len(calls) == expected_calls
+        assert all(np.prod(shape) <= MAX_SCORES_PER_CALL for shape in calls)
+
+
+def test_unpack_mask_set_checks_the_length(mini_weights, mini_stats):
+    [(_, packed)] = packed_mask_sets(mini_weights, mini_stats, [preset("wanda")], Unstructured(0.5))
+    _, masks = prune_model(mini_weights, mini_stats, preset("wanda"), Unstructured(0.5))
+    unpacked = unpack_mask_set(packed, mini_weights.config)
+    assert all(unpacked[key].bits.tobytes() == masks[key].bits.tobytes() for key in masks)
+    for damaged in (packed[:-1], packed + b"\0"):
+        with pytest.raises(ValueError, match="packed mask set"):
+            unpack_mask_set(damaged, mini_weights.config)
 
 
 def test_mask_depends_only_on_order():
