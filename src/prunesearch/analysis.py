@@ -87,11 +87,11 @@ def alignment_discrepancy(weights: ModelWeights, stats: dict, kind: MetricKind) 
     check_stats(stats, sub_module_shapes(weights.config))
     layers: list[tuple[AlignmentEntry, ...]] = []
     per_layer: list[float] = []
-    for i, layer in enumerate(weights.layers):
+    for i in range(weights.config.n_layers):
         entries = []
         for name in SUB_MODULES:
             key = sub_module_key(i, name)
-            w_oi = getattr(layer, name).T
+            w_oi = weights.tensors[key].T
             weight_sum = float(weight_factor(w_oi, kind).sum())
             activation_sum = float(activation_factor(stats[key], kind).sum())
             entries.append(
@@ -119,13 +119,13 @@ def distribution_summary(weights: ModelWeights, stats: dict) -> DistributionRepo
     check_stats(stats, sub_module_shapes(weights.config))
     weight_l1: list[float] = []
     activation_l2: list[float] = []
-    for i, layer in enumerate(weights.layers):
+    for i in range(weights.config.n_layers):
         w_totals = []
         a_totals = []
         for name in SUB_MODULES:
-            w = getattr(layer, name)
-            w_totals.append(float(abs(w).sum()))
-            a_totals.append(float(stats[sub_module_key(i, name)].v.sum()))
+            key = sub_module_key(i, name)
+            w_totals.append(float(abs(weights.tensors[key]).sum()))
+            a_totals.append(float(stats[key].v.sum()))
         weight_l1.append(sum(w_totals) / len(w_totals))
         activation_l2.append(sum(a_totals) / len(a_totals))
     return DistributionReport(weight_l1=tuple(weight_l1), activation_l2=tuple(activation_l2))

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .metric import SubModuleStats
-from .model import ModelConfig, ModelWeights, model_from_tensors, model_tensors, tensor_shapes
+from .model import BLOCK_TENSORS, ModelConfig, ModelWeights, tensor_shapes
 from .objective import ActivationStats, CalibrationSet
 from .prune import Mask, MaskSet
 from .search import SearchResult
@@ -122,7 +122,7 @@ def _read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
 
 
 def write_model(path, weights: ModelWeights) -> None:
-    tensors = [(name, array, DTYPE_F32) for name, array in model_tensors(weights).items()]
+    tensors = [(name, weights.tensors[name], DTYPE_F32) for name in tensor_shapes(weights.config)]
     _write_container(path, {"kind": "model", "config": asdict(weights.config)}, tensors)
 
 
@@ -135,9 +135,9 @@ def read_model(path) -> ModelWeights:
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad model config record: {exc}") from None
 
-    # Embeddings, final norm, and 7 sub-modules + 2 norm gains per layer: count
+    # Two embeddings, the final norm and the BLOCK_TENSORS of each layer: count
     # first, so a forged n_layers cannot build a layout or message that large.
-    expected = 3 + 9 * config.n_layers
+    expected = 3 + len(BLOCK_TENSORS) * config.n_layers
     if len(tensors) != expected:
         raise FormatError(
             f"model with {config.n_layers} layers has {expected} tensors, file holds {len(tensors)}"
@@ -152,7 +152,7 @@ def read_model(path) -> ModelWeights:
             raise FormatError(f"tensor {name!r} has shape {tensors[name].shape}, expected {shape}")
         if not np.isfinite(tensors[name]).all():
             raise FormatError(f"tensor {name!r} holds non-finite values")
-    return model_from_tensors(config, {name: a.astype(np.float64) for name, a in tensors.items()})
+    return ModelWeights(config, {name: a.astype(np.float64) for name, a in tensors.items()})
 
 
 # -- calibration sets ---------------------------------------------------------

@@ -10,6 +10,7 @@ Forward passes are pure functions of (weights, tokens); weights are treated as
 immutable after construction.
 """
 
+import collections
 import functools
 from dataclasses import dataclass
 
@@ -20,6 +21,10 @@ INIT_STD = 0.02
 
 # Prunable linear maps inside one block, in canonical order.
 SUB_MODULES = ("q", "k", "v", "o", "gate", "up", "down")
+# Every tensor of one block, in file order: the sub-modules, then the gains
+# of the attention and MLP norms.
+BLOCK_TENSORS = (*SUB_MODULES, "attn_norm", "mlp_norm")
+_Block = collections.namedtuple("_Block", BLOCK_TENSORS)
 
 
 def sub_module_key(layer: int, name: str) -> str:
@@ -47,27 +52,14 @@ class ModelConfig:
 
 
 @dataclass(eq=False)
-class LayerWeights:
-    q: np.ndarray
-    k: np.ndarray
-    v: np.ndarray
-    o: np.ndarray
-    gate: np.ndarray
-    up: np.ndarray
-    down: np.ndarray
-    attn_norm: np.ndarray
-    mlp_norm: np.ndarray
-
-
-@dataclass(eq=False)
 class ModelWeights:
-    """The in-memory model; tensor_shapes gives every tensor's name and shape."""
+    """The in-memory model: its config and every tensor as a float64 array
+    under its tensor_shapes name, in file order ("token_embedding",
+    "position_embedding", "layer.L.q" ... "layer.L.mlp_norm", "final_norm").
+    The token embedding is also the tied output head."""
 
     config: ModelConfig
-    token_embedding: np.ndarray  # also the tied output head
-    position_embedding: np.ndarray
-    layers: list[LayerWeights]
-    final_norm: np.ndarray
+    tensors: dict[str, np.ndarray]
 
 
 @dataclass(eq=False)
@@ -77,53 +69,36 @@ class ForwardTrace:
 
 
 @functools.lru_cache(maxsize=8)
-def _layout(config: ModelConfig) -> tuple[tuple[str, int | None, str, tuple[int, ...]], ...]:
-    """(name, layer index or None, attribute, stored shape) of every model
-    tensor, in file order.
-
-    This is the one description of the model layout: embeddings, then per
-    layer the seven sub-modules (input x output) and the two norm gains, then
-    the final norm. Initialisation draws in this order too. It is built once
-    per config, so the functions below walk it without formatting or parsing
-    a tensor name.
-    """
-    d, f = config.d_model, config.d_ff
-    layer = {"q": (d, d), "k": (d, d), "v": (d, d), "o": (d, d),
-             "gate": (d, f), "up": (d, f), "down": (f, d), "attn_norm": (d,), "mlp_norm": (d,)}
-    return (
-        ("token_embedding", None, "token_embedding", (config.vocab_size, d)),
-        ("position_embedding", None, "position_embedding", (config.max_seq_len, d)),
-        *((sub_module_key(i, attr), i, attr, shape)
-          for i in range(config.n_layers) for attr, shape in layer.items()),
-        ("final_norm", None, "final_norm", (d,)),
+def _block_keys(config: ModelConfig) -> tuple[_Block, ...]:
+    """Per layer, the tensor name of each BLOCK_TENSORS entry. Built once per
+    config, so forward and the layout functions format no name per call."""
+    return tuple(
+        _Block(*(sub_module_key(i, name) for name in BLOCK_TENSORS)) for i in range(config.n_layers)
     )
 
 
 def tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Name -> stored shape of every model tensor, in file order."""
-    return {name: shape for name, _, _, shape in _layout(config)}
+    """Name -> stored shape of every model tensor, in file order.
+
+    This is the one description of the model layout: the embeddings, then per
+    layer its BLOCK_TENSORS (the sub-modules stored input x output, then the
+    two norm gains), then the final norm. Initialisation draws in this order.
+    """
+    d, f = config.d_model, config.d_ff
+    block = _Block(q=(d, d), k=(d, d), v=(d, d), o=(d, d), gate=(d, f), up=(d, f), down=(f, d),
+                   attn_norm=(d,), mlp_norm=(d,))
+    return {
+        "token_embedding": (config.vocab_size, d),
+        "position_embedding": (config.max_seq_len, d),
+        **{key: shape for keys in _block_keys(config) for key, shape in zip(keys, block)},
+        "final_norm": (d,),
+    }
 
 
 def sub_module_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
     """The prunable entries of tensor_shapes: key -> (inputs, outputs)."""
-    return {name: shape for name, _, attr, shape in _layout(config) if attr in SUB_MODULES}
-
-
-def model_tensors(weights: ModelWeights) -> dict[str, np.ndarray]:
-    """Every tensor of the model under its tensor_shapes name, in file order."""
-    return {
-        name: getattr(weights if layer is None else weights.layers[layer], attr)
-        for name, layer, attr, _ in _layout(weights.config)
-    }
-
-
-def model_from_tensors(config: ModelConfig, tensors: dict[str, np.ndarray]) -> ModelWeights:
-    """The inverse of model_tensors; the arrays are shared, not copied."""
-    top: dict[str, np.ndarray] = {}
-    layers: list[dict[str, np.ndarray]] = [{} for _ in range(config.n_layers)]
-    for name, layer, attr, _ in _layout(config):
-        (top if layer is None else layers[layer])[attr] = tensors[name]
-    return ModelWeights(config=config, layers=[LayerWeights(**layer) for layer in layers], **top)
+    shapes = tensor_shapes(config)
+    return {key: shapes[key] for keys in _block_keys(config) for key in keys[:len(SUB_MODULES)]}
 
 
 def init_model(config: ModelConfig, seed: int) -> ModelWeights:
@@ -137,7 +112,7 @@ def init_model(config: ModelConfig, seed: int) -> ModelWeights:
         name: rng.normal(0.0, INIT_STD, size=shape) if len(shape) == 2 else np.ones(shape)
         for name, shape in tensor_shapes(config).items()
     }
-    return model_from_tensors(config, tensors)
+    return ModelWeights(config, tensors)
 
 
 def rmsnorm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
@@ -145,7 +120,10 @@ def rmsnorm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
 
 
 def silu(x: np.ndarray) -> np.ndarray:
-    return x / (1.0 + np.exp(-x))
+    # exp(-x) overflows to inf below x of about -709, and x / (1 + inf) is
+    # then -0.0, the exact limit: the overflow is expected, not reported.
+    with np.errstate(over="ignore"):
+        return x / (1.0 + np.exp(-x))
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -204,29 +182,29 @@ def forward(weights: ModelWeights, tokens, capture: bool = False) -> ForwardTrac
         raise ValueError(f"token id out of range [0, {cfg.vocab_size})")
 
     t = ids.size
-    x = weights.token_embedding[ids] + weights.position_embedding[:t]
+    tensors = weights.tensors
+    x = tensors["token_embedding"][ids] + tensors["position_embedding"][:t]
     captured: dict[str, np.ndarray] | None = {} if capture else None
 
-    for i, layer in enumerate(weights.layers):
-        h = rmsnorm(x, layer.attn_norm)
+    for keys in _block_keys(cfg):
+        w = _Block(*(tensors[name] for name in keys))
+        h = rmsnorm(x, w.attn_norm)
         if captured is not None:
-            for name in ("q", "k", "v"):
-                captured[sub_module_key(i, name)] = h
-        mixed = _causal_attention(h @ layer.q, h @ layer.k, h @ layer.v, cfg.n_heads)
+            captured[keys.q] = captured[keys.k] = captured[keys.v] = h
+        mixed = _causal_attention(h @ w.q, h @ w.k, h @ w.v, cfg.n_heads)
         if captured is not None:
-            captured[sub_module_key(i, "o")] = mixed
-        x = x + mixed @ layer.o
+            captured[keys.o] = mixed
+        x = x + mixed @ w.o
 
-        h = rmsnorm(x, layer.mlp_norm)
+        h = rmsnorm(x, w.mlp_norm)
         if captured is not None:
-            captured[sub_module_key(i, "gate")] = h
-            captured[sub_module_key(i, "up")] = h
-        inner = silu(h @ layer.gate) * (h @ layer.up)
+            captured[keys.gate] = captured[keys.up] = h
+        inner = silu(h @ w.gate) * (h @ w.up)
         if captured is not None:
-            captured[sub_module_key(i, "down")] = inner
-        x = x + inner @ layer.down
+            captured[keys.down] = inner
+        x = x + inner @ w.down
 
-    return ForwardTrace(final_hidden=rmsnorm(x, weights.final_norm), captured_inputs=captured)
+    return ForwardTrace(final_hidden=rmsnorm(x, tensors["final_norm"]), captured_inputs=captured)
 
 
 def final_hidden_batch(weights: ModelWeights, calib) -> list[np.ndarray]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metric import Magnitude, MetricKind, SubModuleStats, activation_factor, check_stats, score, weight_factor
-from .model import ModelConfig, ModelWeights, model_from_tensors, model_tensors, sub_module_shapes
+from .model import ModelConfig, ModelWeights, sub_module_shapes
 
 # Most scores one build_mask call of packed_mask_sets sorts, unless a single
 # matrix is larger. A group's stack of score matrices is masked in slices of
@@ -153,10 +153,9 @@ def packed_mask_sets(
     """
     shapes = sub_module_shapes(weights.config)
     check_stats(stats, shapes)
-    tensors = model_tensors(weights)
     # Stored layout is input x output; score and mask rows compare the
     # weights feeding one output neuron.
-    w_oi = {key: tensors[key].T for key in shapes}
+    w_oi = {key: weights.tensors[key].T for key in shapes}
     groups: dict[object, list[int]] = {}
     for i, kind in enumerate(kinds):
         # Magnitude ignores the activation side and is a group of its own.
@@ -206,10 +205,10 @@ def apply_masks(weights: ModelWeights, masks: MaskSet) -> ModelWeights:
     """A pruned copy: each masked sub-module keeps its kept entries exactly and
     zeroes the rest. Embeddings, norm gains and unmasked sub-modules are
     shared with the input, which stays untouched."""
-    tensors = model_tensors(weights)
+    tensors = dict(weights.tensors)
     for key, mask in masks.items():
         tensors[key] = np.ascontiguousarray(apply_mask(tensors[key].T, mask).T)
-    return model_from_tensors(weights.config, tensors)
+    return ModelWeights(weights.config, tensors)
 
 
 def prune_model(

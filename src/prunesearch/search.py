@@ -59,8 +59,12 @@ def decode(genes) -> MetricConfig:
         raise ValueError(f"genome must hold exactly {GENE_COUNT} genes")
     if (g < 0.0).any() or (g >= 1.0).any():
         raise ValueError("genes must lie in [0, 1)")
-    codes = np.minimum((g * 7).astype(np.int64), 6)
-    return MetricConfig.from_codes(tuple(int(c) for c in codes))
+    return MetricConfig.from_codes(_codes(g))
+
+
+def _codes(genes: np.ndarray) -> tuple[int, int, int, int]:
+    """The code of each gene in [0, 1): min(floor(gene*7), 6)."""
+    return tuple(min(int(g * 7), 6) for g in genes.tolist())
 
 
 @functools.cache
@@ -71,7 +75,7 @@ def _key_for_codes(codes: tuple[int, int, int, int]) -> tuple:
 def _class_key(genes: np.ndarray) -> tuple:
     """mask_equivalence_key(decode(genes)) for genes already in [0, 1), from
     the four codes alone: one cached key per code tuple (at most 2401)."""
-    return _key_for_codes(tuple(min(int(g * 7), 6) for g in genes.tolist()))
+    return _key_for_codes(_codes(genes))
 
 
 def sbx_crossover(p1, p2, eta_c: float, rng) -> tuple[np.ndarray, np.ndarray]:

@@ -102,10 +102,11 @@ def test_criterion_2_preset_fidelity(fixture_weights, fixture_stats):
     spec = Unstructured(0.5)
     checked = 0
     ok = True
-    for i, layer in enumerate(fixture_weights.layers):
+    for i in range(fixture_weights.config.n_layers):
         for name in SUB_MODULES:
-            w_oi = getattr(layer, name).T
-            stats = fixture_stats[sub_module_key(i, name)]
+            key = sub_module_key(i, name)
+            w_oi = fixture_weights.tensors[key].T
+            stats = fixture_stats[key]
             a = np.abs(w_oi)
             v = stats.v
 

@@ -11,28 +11,26 @@ from prunesearch.analysis import (
     emit_report,
 )
 from prunesearch.metric import MAGNITUDE, Coeff, MetricConfig, SubModuleStats, Transform, preset
-from prunesearch.model import SUB_MODULES, LayerWeights, ModelConfig, ModelWeights, sub_module_key
+from prunesearch.model import (
+    SUB_MODULES,
+    ModelConfig,
+    ModelWeights,
+    sub_module_key,
+    sub_module_shapes,
+    tensor_shapes,
+)
 
 
 def flat_model(matrix, n_layers=1):
     """All 7 sub-modules of every layer share one 2x2 weight matrix."""
     config = ModelConfig(vocab_size=4, d_model=2, n_layers=n_layers, n_heads=1, d_ff=2, max_seq_len=4)
     w = np.asarray(matrix, dtype=np.float64)
-    layers = [
-        LayerWeights(
-            q=w.copy(), k=w.copy(), v=w.copy(), o=w.copy(),
-            gate=w.copy(), up=w.copy(), down=w.copy(),
-            attn_norm=np.ones(2), mlp_norm=np.ones(2),
-        )
-        for _ in range(n_layers)
-    ]
-    return ModelWeights(
-        config=config,
-        token_embedding=np.zeros((4, 2)),
-        position_embedding=np.zeros((4, 2)),
-        layers=layers,
-        final_norm=np.ones(2),
-    )
+    sub_modules = sub_module_shapes(config)
+    tensors = {
+        name: w.copy() if name in sub_modules else np.ones(shape) if len(shape) == 1 else np.zeros(shape)
+        for name, shape in tensor_shapes(config).items()
+    }
+    return ModelWeights(config, tensors)
 
 
 def flat_stats(model, v):
@@ -167,8 +165,8 @@ def test_alignment_matches_naive_double_loop(mini_weights, mini_stats, kind):
     report = alignment_discrepancy(mini_weights, mini_stats, kind)
     for i, entries in enumerate(report.layers):
         for name, entry in zip(SUB_MODULES, entries):
-            w_oi = getattr(mini_weights.layers[i], name).T
-            w_sum, a_sum = _naive_sums(w_oi, mini_stats[sub_module_key(i, name)], kind)
+            key = sub_module_key(i, name)
+            w_sum, a_sum = _naive_sums(mini_weights.tensors[key].T, mini_stats[key], kind)
             assert entry.weight_sum == pytest.approx(w_sum, rel=1e-9)
             assert entry.activation_sum == pytest.approx(a_sum, rel=1e-9)
 

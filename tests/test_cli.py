@@ -1,5 +1,9 @@
+import contextlib
+import io
 import json
+import math
 import shutil
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -165,7 +169,7 @@ def test_prune_with_custom_metric(micro_files, capsys):
                 "--out", str(pruned)]) == 0
     capsys.readouterr()
     loaded = storage.read_model(pruned)
-    q = loaded.layers[0].q.T  # output x input
+    q = loaded.tensors["layer.0.q"].T  # output x input
     groups = (q != 0.0).reshape(q.shape[0], q.shape[1] // 8, 8).sum(axis=2)
     assert (groups == 4).all()
 
@@ -257,6 +261,16 @@ def clean_micro_files(tmp_path_factory):
     return files
 
 
+def _json_numbers(doc):
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        for item in doc:
+            yield from _json_numbers(item)
+    elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        yield doc
+
+
 @settings(max_examples=80, deadline=None, database=None, derandomize=True)
 @given(damage=_INPUT_DAMAGE)
 def test_every_command_on_a_damaged_input_exits_with_a_code(clean_micro_files, tmp_path_factory, damage):
@@ -282,4 +296,14 @@ def test_every_command_on_a_damaged_input_exits_with_a_code(clean_micro_files, t
          "--pop", "4", "--seed", "1", "--out", str(work / "r.json")],
     ]
     for argv in commands:
-        assert run(argv) in (0, 1, 2), argv[0]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = run(argv)
+        assert code in (0, 1, 2), argv[0]
+        # Exit 0 promises finite output: the number eval prints and every
+        # number in a JSON report.
+        if code == 0 and argv[0] == "eval":
+            assert math.isfinite(float(stdout.getvalue())), argv[0]
+        out = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+        if code == 0 and out is not None and out.suffix == ".json":
+            assert all(math.isfinite(x) for x in _json_numbers(json.loads(out.read_text()))), argv[0]

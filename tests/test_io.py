@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from prunesearch import io as storage
 from prunesearch.metric import preset
-from prunesearch.model import ModelConfig, init_model
+from prunesearch.model import ModelConfig, ModelWeights, init_model
 from prunesearch.objective import CalibrationSet, collect_activation_stats, synthetic_calibration
 from prunesearch.prune import Mask, SemiStructured, prune_model, sparsity_of
 from prunesearch.search import SearchParams, nsga2_search
@@ -24,7 +24,7 @@ def test_model_round_trip_is_stable(tmp_path, mini_weights):
     assert first.read_bytes() == second.read_bytes()
     assert loaded.config == mini_weights.config
     # values survive at 32-bit precision
-    np.testing.assert_allclose(loaded.layers[0].q, mini_weights.layers[0].q, atol=1e-6)
+    np.testing.assert_allclose(loaded.tensors["layer.0.q"], mini_weights.tensors["layer.0.q"], atol=1e-6)
 
 
 def test_model_file_lists_expected_tensors(tmp_path, mini_weights):
@@ -97,12 +97,9 @@ def test_container_rejects_payload_larger_than_file(tmp_path):
 
 
 def test_read_model_rejects_non_finite_weights(tmp_path, mini_weights):
-    import dataclasses
-
-    layer = mini_weights.layers[0]
-    q = layer.q.copy()
+    q = mini_weights.tensors["layer.0.q"].copy()
     q[0, 0] = np.nan
-    bad = dataclasses.replace(mini_weights, layers=[dataclasses.replace(layer, q=q), *mini_weights.layers[1:]])
+    bad = ModelWeights(mini_weights.config, {**mini_weights.tensors, "layer.0.q": q})
     path = tmp_path / "model.opsh"
     storage.write_model(path, bad)
     with pytest.raises(storage.FormatError, match="layer.0.q"):

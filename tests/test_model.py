@@ -4,23 +4,21 @@ import pytest
 from prunesearch import model
 from prunesearch.model import (
     ModelConfig,
+    ModelWeights,
     final_hidden_batch,
     forward,
     init_model,
     rmsnorm,
+    silu,
     softmax_rows,
     sub_module_key,
+    sub_module_shapes,
 )
-from prunesearch.objective import CalibrationSet
+from prunesearch.objective import CalibrationSet, collect_activation_stats
 
 
 def _weight_bytes(weights):
-    parts = [weights.token_embedding.tobytes(), weights.position_embedding.tobytes()]
-    for layer in weights.layers:
-        for name in ("q", "k", "v", "o", "gate", "up", "down", "attn_norm", "mlp_norm"):
-            parts.append(getattr(layer, name).tobytes())
-    parts.append(weights.final_norm.tobytes())
-    return b"".join(parts)
+    return b"".join(array.tobytes() for array in weights.tensors.values())
 
 
 def test_config_validation():
@@ -43,9 +41,10 @@ def test_init_seed_changes_weights(mini_config):
 
 
 def test_init_norm_gains_are_ones(mini_weights):
-    assert np.array_equal(mini_weights.final_norm, np.ones(mini_weights.config.d_model))
-    for layer in mini_weights.layers:
-        assert np.array_equal(layer.attn_norm, np.ones_like(layer.attn_norm))
+    assert np.array_equal(mini_weights.tensors["final_norm"], np.ones(mini_weights.config.d_model))
+    for i in range(mini_weights.config.n_layers):
+        gain = mini_weights.tensors[sub_module_key(i, "attn_norm")]
+        assert np.array_equal(gain, np.ones_like(gain))
 
 
 def test_forward_deterministic(mini_weights, mini_calib):
@@ -134,6 +133,23 @@ def test_forward_is_bit_identical_to_reference_attention(mini_weights, monkeypat
     assert actual.final_hidden.tobytes() == expected.final_hidden.tobytes()
     for key, value in expected.captured_inputs.items():
         assert actual.captured_inputs[key].tobytes() == value.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_linear_weights_run_without_a_warning(mini_weights, mini_calib):
+    # Linear weights x1e10 (a flipped float32 exponent bit gets that far) push
+    # silu's exp(-x) past float64; x / (1 + inf) is the exact limit -0.0.
+    huge = ModelWeights(mini_weights.config, {
+        name: w * 1e10 if name in sub_module_shapes(mini_weights.config) else w
+        for name, w in mini_weights.tensors.items()
+    })
+    assert np.isfinite(forward(huge, mini_calib.sequences[0]).final_hidden).all()
+    stats = collect_activation_stats(huge, mini_calib)
+    assert all(np.isfinite(entry.v).all() and np.isfinite(entry.l1).all() for entry in stats.values())
+    x = np.array([-1e9, -710.0, -1.0, 0.0, 1.0, 1e9])
+    with np.errstate(over="ignore"):
+        expected = x / (1.0 + np.exp(-x))
+    assert silu(x).tobytes() == expected.tobytes()
 
 
 def test_rmsnorm_unit_gain_property():

@@ -3,7 +3,7 @@ import pytest
 
 from prunesearch import objective, prune
 from prunesearch.metric import SPACE_SIZE, preset
-from prunesearch.model import final_hidden_batch, forward
+from prunesearch.model import ModelWeights, final_hidden_batch, forward, sub_module_shapes
 from prunesearch.objective import (
     CalibrationSet,
     Fitness,
@@ -205,16 +205,10 @@ def test_fitness_rejects_non_finite():
 
 def test_zero_weight_model_still_produces_finite_stats(mini_weights, mini_calib):
     # Embeddings propagate even when every prunable matrix is zeroed.
-    import dataclasses
-
-    zeroed_layers = [
-        dataclasses.replace(
-            layer,
-            **{name: np.zeros_like(getattr(layer, name)) for name in ("q", "k", "v", "o", "gate", "up", "down")},
-        )
-        for layer in mini_weights.layers
-    ]
-    zeroed = dataclasses.replace(mini_weights, layers=zeroed_layers)
+    zeroed = ModelWeights(mini_weights.config, {
+        name: np.zeros_like(w) if name in sub_module_shapes(mini_weights.config) else w
+        for name, w in mini_weights.tensors.items()
+    })
     stats = collect_activation_stats(zeroed, mini_calib)
     assert len(stats) == 7 * mini_weights.config.n_layers
     for entry in stats.values():

@@ -5,7 +5,7 @@ import pytest
 
 from prunesearch import prune
 from prunesearch.metric import MAGNITUDE, Coeff, Transform, preset, score
-from prunesearch.model import ModelConfig, forward, init_model, model_tensors, sub_module_key, sub_module_shapes
+from prunesearch.model import ModelConfig, forward, init_model, sub_module_key, sub_module_shapes
 from prunesearch.objective import collect_activation_stats, synthetic_calibration
 from prunesearch.prune import (
     MAX_SCORES_PER_CALL,
@@ -167,9 +167,8 @@ def test_mask_rejects_bits_below_two_dimensions():
 
 
 def _per_config_masks(weights, stats, kind, spec):
-    tensors = model_tensors(weights)
     return {
-        key: build_mask(score(tensors[key].T, stats[key], kind), spec).bits
+        key: build_mask(score(weights.tensors[key].T, stats[key], kind), spec).bits
         for key in sub_module_shapes(weights.config)
     }
 
@@ -270,14 +269,14 @@ def test_prune_model_structure(mini_weights, mini_stats):
     for mask in masks.values():
         assert (mask.bits.sum(axis=1) * 2 == mask.bits.shape[1]).all()
     # untouched tensors are shared, pruned copies are new
-    assert pruned.token_embedding is mini_weights.token_embedding
-    assert pruned.layers[0].q is not mini_weights.layers[0].q
+    assert pruned.tensors["token_embedding"] is mini_weights.tensors["token_embedding"]
+    assert pruned.tensors["layer.0.q"] is not mini_weights.tensors["layer.0.q"]
 
 
 def test_prune_model_preserves_original(mini_weights, mini_stats):
-    before = mini_weights.layers[0].q.copy()
+    before = mini_weights.tensors["layer.0.q"].copy()
     prune_model(mini_weights, mini_stats, preset("ria"), Unstructured(0.5))
-    assert np.array_equal(mini_weights.layers[0].q, before)
+    assert np.array_equal(mini_weights.tensors["layer.0.q"], before)
 
 
 def test_prune_model_2_4_constraint(mini_weights, mini_stats):

@@ -50,7 +50,9 @@ class TestDecode:
 
 def test_class_key_matches_decoded_key_for_every_code_tuple():
     # The search's fast key must name the same mask class as decoding the
-    # genome, mid-cell and on both sides of every cell edge k/7.
+    # genome, mid-cell and on both sides of every cell edge k/7; and both
+    # share one gene-to-code rule, so that rule is checked against a
+    # vectorised reference too.
     def gene_choices(code):
         edge = code / 7.0
         top = GENE_MAX if code == 6 else np.nextafter((code + 1) / 7.0, 0.0)
@@ -60,6 +62,8 @@ def test_class_key_matches_decoded_key_for_every_code_tuple():
         for position in range(5):
             genes = np.array([gene_choices(c)[position] for c in cfg.codes])
             assert _class_key(genes) == mask_equivalence_key(decode(genes)), genes.tolist()
+            reference = np.minimum((genes * 7).astype(np.int64), 6)
+            assert decode(genes).codes == tuple(reference.tolist()), genes.tolist()
 
 
 class TestSbx:
