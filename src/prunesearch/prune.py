@@ -5,7 +5,8 @@ weights feeding output neuron i. A sparsity spec splits each row into aligned
 groups of `width` consecutive columns and keeps `keep` entries of each group:
 an unstructured ratio is one group per row, an n:m pattern is groups of m that
 keep n. Ties are broken toward the lower column index, so masks are
-deterministic.
+deterministic. A NaN score ranks below every number, so it is dropped first,
+and among NaNs the lower column is kept first; -0.0 and 0.0 tie.
 """
 
 import math
@@ -107,15 +108,31 @@ def build_mask(scores: np.ndarray, spec: SparsitySpec) -> Mask:
     spec.groups(cols) gives (width, keep): each row of the output x input
     scores is split into aligned groups of `width` consecutive columns, and
     each group keeps its `keep` largest entries. Equal scores keep the lower
-    column index (stable descending sort). Scores may carry leading batch axes
-    (a stack of matrices): every row is masked on its own, so the bits of a
-    stack equal build_mask on each of its slices.
+    column index. A NaN score ranks below every number, so it is dropped
+    first, and among NaNs the lower column is kept first; -0.0 and 0.0 tie.
+    Scores may carry leading batch axes (a stack of matrices): every group is
+    masked on its own, so the bits of a stack equal build_mask on each of its
+    slices. The scores are not modified and the bits are a new array.
+
+    A group keeps the entries that score at least its keep-th largest score,
+    read from a value sort. That set is the answer unless the keep-th and the
+    next score tie or the keep-th is NaN; only such groups are masked again
+    by a stable descending argsort, which applies the tie and NaN order
+    above.
     """
     width, keep = spec.groups(scores.shape[-1])
-    grouped = scores.reshape(-1, width)
-    order = np.argsort(-grouped, axis=1, kind="stable")
-    bits = np.zeros(grouped.shape, dtype=bool)
-    np.put_along_axis(bits, order[:, :keep], True, axis=1)
+    neg = -scores.reshape(-1, width)
+    if keep in (0, width):
+        return Mask(bits=np.full(scores.shape, keep == width))
+    ranked = np.sort(neg, axis=1)
+    last, first_out = ranked[:, keep - 1], ranked[:, keep]
+    bits = neg <= last[:, None]
+    tied = np.flatnonzero((last == first_out) | np.isnan(last))
+    if tied.size:
+        order = np.argsort(neg[tied], axis=1, kind="stable")
+        stable = np.zeros((tied.size, width), dtype=bool)
+        np.put_along_axis(stable, order[:, :keep], True, axis=1)
+        bits[tied] = stable
     return Mask(bits=bits.reshape(scores.shape))
 
 

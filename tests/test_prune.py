@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from prunesearch import prune
 from prunesearch.metric import MAGNITUDE, Coeff, Transform, preset, score
@@ -157,6 +160,131 @@ def test_build_mask_on_a_stack_equals_each_slice(spec):
             assert stack.bits.shape == shape
             for index in np.ndindex(shape[:-2]):
                 assert stack.bits[index].tobytes() == build_mask(scores[index], spec).bits.tobytes()
+
+
+def _stable_sort_build_mask(scores, spec):
+    """build_mask as it was before the value sort: a stable argsort of every
+    negated group, whose first `keep` positions are kept."""
+    width, keep = spec.groups(scores.shape[-1])
+    grouped = scores.reshape(-1, width)
+    order = np.argsort(-grouped, axis=1, kind="stable")
+    bits = np.zeros(grouped.shape, dtype=bool)
+    np.put_along_axis(bits, order[:, :keep], True, axis=1)
+    return bits.reshape(scores.shape)
+
+
+def _assert_matches_stable_sort(scores, spec):
+    bits = build_mask(scores, spec).bits
+    assert bits.shape == scores.shape and bits.dtype == np.bool_
+    assert bits.tobytes() == _stable_sort_build_mask(scores, spec).tobytes()
+
+
+_NAN, _INF = np.nan, np.inf
+_HAND_ROWS = {
+    "one NaN": ([[3.0, _NAN, 1.0, 2.0]], Unstructured(0.5)),
+    "all NaN": ([[_NAN, _NAN, _NAN, _NAN]], Unstructured(0.5)),
+    "NaN at the keep boundary": ([[_NAN, 1.0, _NAN, _NAN]], Unstructured(0.5)),
+    "NaN just past the boundary": ([[1.0, _NAN, 2.0, _NAN]], Unstructured(0.5)),
+    "NaN and a tie": ([[1.0, _NAN, 1.0, 1.0, _NAN, 0.0]], SemiStructured(2, 3)),
+    "+inf and -inf": ([[_INF, 1.0, -_INF, 0.0], [-_INF, -_INF, 2.0, _INF]], Unstructured(0.5)),
+    "+inf tied at the boundary": ([[_INF, _INF, _INF, 0.0]], Unstructured(0.5)),
+    "-inf tied at the boundary": ([[-_INF, 5.0, -_INF, -_INF]], Unstructured(0.5)),
+    "-0.0 and 0.0": ([[-0.0, 0.0, 0.0, -0.0], [0.0, -0.0, 1.0, -1.0]], Unstructured(0.5)),
+    "-0.0 and 0.0 at 1:4": ([[0.0, -0.0, -0.0, 0.0], [-0.0, 0.0, 0.0, -0.0]], SemiStructured(1, 4)),
+    "tie at the boundary": ([[1.0, 2.0, 2.0, 0.0], [4.0, 4.0, 4.0, 4.0]], SemiStructured(1, 4)),
+    "tie inside the kept set": ([[5.0, 5.0, 1.0, 2.0], [0.0, 7.0, 7.0, 7.0]], SemiStructured(2, 4)),
+    "keep 0": ([[3.0, _NAN, 1.0, 2.0]], Unstructured(1.0)),
+    "keep 1": ([[3.0, 3.0, 1.0, 2.0, _NAN, 0.0, 3.0, -_INF]], Unstructured(0.875)),
+    "keep width - 1": ([[3.0, 3.0, 1.0, 1.0, _NAN, 0.0, _NAN, -_INF]], SemiStructured(7, 8)),
+    "keep width": ([[3.0, _NAN, 1.0, 2.0]], SemiStructured(4, 4)),
+}
+
+
+@pytest.mark.parametrize("rows, spec", _HAND_ROWS.values(), ids=_HAND_ROWS.keys())
+def test_build_mask_matches_stable_sort_on_hand_rows(rows, spec):
+    _assert_matches_stable_sort(np.array(rows), spec)
+
+
+_SPECS = [Unstructured(0.0), Unstructured(0.29), Unstructured(0.5), Unstructured(1.0),
+          SemiStructured(1, 4), SemiStructured(2, 4), SemiStructured(4, 8)]
+
+
+@pytest.mark.parametrize("spec", _SPECS, ids=str)
+@pytest.mark.parametrize("cols", [8, 32, 64, 104, 1024])
+def test_build_mask_matches_stable_sort_at_every_width(spec, cols):
+    # Two and three levels tie at the boundary in most rows, 1000 levels and
+    # normal draws in few; some rows also carry NaN, +-inf and -0.0.
+    rng = np.random.default_rng(cols)
+    for levels in (2, 3, 1000, None):
+        shape = (9, cols)
+        scores = rng.normal(size=shape) if levels is None else rng.integers(0, levels, size=shape) * 1.0
+        _assert_matches_stable_sort(scores, spec)
+        for value, share in ((_NAN, 0.1), (_INF, 0.05), (-_INF, 0.05), (-0.0, 0.1)):
+            scores[rng.random(shape) < share] = value
+        _assert_matches_stable_sort(scores, spec)
+
+
+@pytest.mark.parametrize("spec", _SPECS, ids=str)
+@pytest.mark.parametrize("shape", [(5, 7, 40), (2, 3, 1, 40), (0, 40), (3, 0, 40)], ids=str)
+def test_build_mask_matches_stable_sort_on_stacks_and_empty_inputs(spec, shape):
+    rng = np.random.default_rng(5)
+    for levels in (2, 1000):
+        _assert_matches_stable_sort(rng.integers(0, levels, size=shape) * 1.0, spec)
+
+
+def _rows_tied_at_the_boundary(scores, spec):
+    """Which groups hold a tie or a NaN at the keep boundary."""
+    width, keep = spec.groups(scores.shape[-1])
+    ranked = np.sort(-scores.reshape(-1, width), axis=1)
+    return (ranked[:, keep - 1] == ranked[:, keep]) | np.isnan(ranked[:, keep - 1])
+
+
+@pytest.mark.parametrize("spec", [Unstructured(0.5), SemiStructured(2, 4)], ids=str)
+def test_build_mask_one_call_mixes_tied_and_untied_rows(spec):
+    rng = np.random.default_rng(8)
+    scores = rng.normal(size=(12, 16))
+    scores[::3] = rng.integers(0, 2, size=(4, 16))
+    scores[1, 3] = _NAN
+    tied = _rows_tied_at_the_boundary(scores, spec)
+    assert tied.any() and not tied.all()
+    _assert_matches_stable_sort(scores, spec)
+    bits = build_mask(scores, spec).bits
+    width, keep = spec.groups(16)
+    assert (bits.reshape(-1, width).sum(axis=1) == keep).all()
+
+
+_SCORE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, _NAN, _INF, -_INF]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(
+    spec=st.sampled_from(_SPECS),
+    scores=hnp.arrays(np.float64, st.tuples(st.integers(0, 4), st.sampled_from([8, 16, 24])), elements=_SCORE_VALUES),
+)
+def test_build_mask_matches_stable_sort_on_any_float64(spec, scores):
+    _assert_matches_stable_sort(scores, spec)
+
+
+@pytest.mark.parametrize("spec", [Unstructured(0.5), SemiStructured(2, 4), Unstructured(1.0), Unstructured(0.0)], ids=str)
+def test_build_mask_leaves_scores_untouched_and_shares_no_memory(spec):
+    rng = np.random.default_rng(9)
+    untied = rng.normal(size=(2, 6, 16))
+    tied = rng.integers(0, 2, size=(2, 6, 16)) * 1.0
+    tied[0, 0, :3] = _NAN
+    width, keep = spec.groups(16)
+    if 0 < keep < width:
+        assert not _rows_tied_at_the_boundary(untied, spec).any()
+        assert _rows_tied_at_the_boundary(tied, spec).any()
+    for scores in (untied, tied, untied[:, ::2, :], np.asfortranarray(tied)):
+        before = scores.tobytes()
+        scores.flags.writeable = False
+        bits = build_mask(scores, spec).bits
+        assert scores.tobytes() == before
+        assert not np.shares_memory(bits, scores)
+        assert bits.flags.writeable
 
 
 def test_mask_rejects_bits_below_two_dimensions():
