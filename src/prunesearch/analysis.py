@@ -1,124 +1,61 @@
 """Weight-activation alignment gaps and per-layer distribution summaries.
 
-Reports are plot-ready tables; rendering is left to downstream tooling.
+Reports are plot-ready tables; rendering is left to downstream tooling. Each
+builder returns the report document itself: the dict that `emit_report`
+writes as JSON, and whose per-layer summary it writes as CSV.
 """
 
 import csv
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 from .metric import Magnitude, MetricKind, activation_factor, check_stats, weight_factor
 from .model import SUB_MODULES, ModelWeights, sub_module_key, sub_module_shapes
 
-
-@dataclass(frozen=True)
-class AlignmentEntry:
-    name: str
-    weight_sum: float  # sum over the sub-module of alpha(|W|)*F1(|W|)
-    activation_sum: float  # sum over features of beta(v)*F2(v)
-    difference: float  # |weight_sum - activation_sum|
+# The per-layer columns each kind of report writes as CSV.
+_CSV_COLUMNS = {
+    "alignment": ("layer", "mean_difference"),
+    "distribution": ("layer", "weight_l1_mean", "activation_l2_mean"),
+}
 
 
-@dataclass(frozen=True)
-class AlignmentReport:
-    metric: str
-    layers: tuple[tuple[AlignmentEntry, ...], ...]
-    per_layer: tuple[float, ...]  # mean difference over each layer's sub-modules
-    model_mean: float  # mean of the per-layer means
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "alignment",
-            "metric": self.metric,
-            "model_mean": self.model_mean,
-            "layers": [
-                {
-                    "layer": i,
-                    "mean_difference": self.per_layer[i],
-                    "sub_modules": [
-                        {
-                            "name": e.name,
-                            "weight_sum": e.weight_sum,
-                            "activation_sum": e.activation_sum,
-                            "difference": e.difference,
-                        }
-                        for e in entries
-                    ],
-                }
-                for i, entries in enumerate(self.layers)
-            ],
-        }
-
-    csv_header = ("layer", "mean_difference")
-
-    def csv_rows(self):
-        return [(i, repr(value)) for i, value in enumerate(self.per_layer)]
-
-
-@dataclass(frozen=True)
-class DistributionReport:
-    weight_l1: tuple[float, ...]  # per layer: mean over sub-modules of sum |W|
-    activation_l2: tuple[float, ...]  # per layer: mean over sub-modules of sum_j v_j
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "distribution",
-            "layers": [
-                {"layer": i, "weight_l1_mean": w, "activation_l2_mean": a}
-                for i, (w, a) in enumerate(zip(self.weight_l1, self.activation_l2))
-            ],
-        }
-
-    csv_header = ("layer", "weight_l1_mean", "activation_l2_mean")
-
-    def csv_rows(self):
-        return [
-            (i, repr(w), repr(a))
-            for i, (w, a) in enumerate(zip(self.weight_l1, self.activation_l2))
-        ]
-
-
-def alignment_discrepancy(weights: ModelWeights, stats: dict, kind: MetricKind) -> AlignmentReport:
-    """Per sub-module, sum the transformed weight side and the transformed
-    activation side of the score, and report the absolute gap between them."""
+def alignment_discrepancy(weights: ModelWeights, stats: dict, kind: MetricKind) -> dict:
+    """Per sub-module, sum the transformed weight side (alpha(|W|)*F1(|W|))
+    and the transformed activation side (beta(v)*F2(v)) of the score, and
+    report the absolute gap between them, its mean per layer, and the mean of
+    the per-layer means."""
     if isinstance(kind, Magnitude):
         raise ValueError("magnitude scoring has no activation component to align")
     check_stats(stats, sub_module_shapes(weights.config))
-    layers: list[tuple[AlignmentEntry, ...]] = []
-    per_layer: list[float] = []
+    layers = []
     for i in range(weights.config.n_layers):
-        entries = []
+        sub_modules = []
         for name in SUB_MODULES:
             key = sub_module_key(i, name)
             w_oi = weights.tensors[key].T
             weight_sum = float(weight_factor(w_oi, kind).sum())
             activation_sum = float(activation_factor(stats[key], kind).sum())
-            entries.append(
-                AlignmentEntry(
-                    name=key,
-                    weight_sum=weight_sum,
-                    activation_sum=activation_sum,
-                    difference=abs(weight_sum - activation_sum),
-                )
-            )
-        layers.append(tuple(entries))
-        per_layer.append(sum(e.difference for e in entries) / len(entries))
-    model_mean = sum(per_layer) / len(per_layer) if per_layer else 0.0
-    return AlignmentReport(
-        metric=str(kind),
-        layers=tuple(layers),
-        per_layer=tuple(per_layer),
-        model_mean=model_mean,
-    )
+            sub_modules.append({
+                "name": key,
+                "weight_sum": weight_sum,
+                "activation_sum": activation_sum,
+                "difference": abs(weight_sum - activation_sum),
+            })
+        mean_difference = sum(entry["difference"] for entry in sub_modules) / len(sub_modules)
+        layers.append({"layer": i, "mean_difference": mean_difference, "sub_modules": sub_modules})
+    return {
+        "kind": "alignment",
+        "metric": str(kind),
+        "model_mean": sum(layer["mean_difference"] for layer in layers) / len(layers),
+        "layers": layers,
+    }
 
 
-def distribution_summary(weights: ModelWeights, stats: dict) -> DistributionReport:
-    """Per layer, average the sub-module weight L1 norms and the sub-module
-    sums of per-feature activation L2 norms."""
+def distribution_summary(weights: ModelWeights, stats: dict) -> dict:
+    """Per layer, average the sub-module weight L1 norms (sum |W|) and the
+    sub-module sums of per-feature activation L2 norms (sum_j v_j)."""
     check_stats(stats, sub_module_shapes(weights.config))
-    weight_l1: list[float] = []
-    activation_l2: list[float] = []
+    layers = []
     for i in range(weights.config.n_layers):
         w_totals = []
         a_totals = []
@@ -126,19 +63,23 @@ def distribution_summary(weights: ModelWeights, stats: dict) -> DistributionRepo
             key = sub_module_key(i, name)
             w_totals.append(float(abs(weights.tensors[key]).sum()))
             a_totals.append(float(stats[key].v.sum()))
-        weight_l1.append(sum(w_totals) / len(w_totals))
-        activation_l2.append(sum(a_totals) / len(a_totals))
-    return DistributionReport(weight_l1=tuple(weight_l1), activation_l2=tuple(activation_l2))
+        layers.append({
+            "layer": i,
+            "weight_l1_mean": sum(w_totals) / len(w_totals),
+            "activation_l2_mean": sum(a_totals) / len(a_totals),
+        })
+    return {"kind": "distribution", "layers": layers}
 
 
-def emit_report(report, path) -> None:
+def emit_report(report: dict, path) -> None:
     """Write a report as CSV (per-layer summary rows) when the path ends in
     .csv, any case, else as JSON (full detail)."""
     path = Path(path)
     if path.suffix.lower() == ".csv":
+        columns = _CSV_COLUMNS[report["kind"]]
         with path.open("w", encoding="utf-8", newline="") as f:
             writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(report.csv_header)
-            writer.writerows(report.csv_rows())
+            writer.writerow(columns)
+            writer.writerows([layer[col] for col in columns] for layer in report["layers"])
     else:
-        path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")

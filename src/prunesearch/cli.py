@@ -230,7 +230,7 @@ def _cmd_align(args) -> int:
     stats = storage.read_stats(args.stats)
     report = alignment_discrepancy(weights, stats, args.metric)
     emit_report(report, args.out)
-    print(f"model mean alignment gap {report.model_mean!r} written to {args.out}")
+    print(f"model mean alignment gap {report['model_mean']!r} written to {args.out}")
     return 0
 
 
@@ -239,7 +239,7 @@ def _cmd_dist(args) -> int:
     stats = storage.read_stats(args.stats)
     report = distribution_summary(weights, stats)
     emit_report(report, args.out)
-    print(f"distribution summary for {len(report.weight_l1)} layers written to {args.out}")
+    print(f"distribution summary for {len(report['layers'])} layers written to {args.out}")
     return 0
 
 

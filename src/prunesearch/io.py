@@ -168,11 +168,9 @@ def read_calib(path) -> CalibrationSet:
     sequences = []
     # bytes.splitlines breaks lines where text mode does: at \n, \r and \r\n.
     for lineno, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
-        if not line.strip():
-            continue
         record = _parse_json(line, f"{path}:{lineno}: malformed JSON line")
-        if not isinstance(record, dict) or "tokens" not in record:
-            raise FormatError(f"{path}:{lineno}: expected an object with a 'tokens' array")
+        if not isinstance(record, dict) or set(record) != {"tokens"}:
+            raise FormatError(f"{path}:{lineno}: expected an object with only a 'tokens' array")
         # Ids out of the vocabulary are checked when used; ids beyond int64
         # could not reach that check.
         tokens = record["tokens"]
@@ -299,4 +297,4 @@ def write_results(result: SearchResult, json_path, csv_path) -> None:
         writer.writerow(RESULT_CSV_COLUMNS)
         for i, cfg, l_div in result.trials:
             row = _trial_row(i, cfg, l_div)
-            writer.writerow([row[col] if col != "l_div" else repr(l_div) for col in RESULT_CSV_COLUMNS])
+            writer.writerow([row[col] for col in RESULT_CSV_COLUMNS])

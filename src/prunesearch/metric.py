@@ -245,8 +245,6 @@ def score(w: np.ndarray, stats: SubModuleStats, kind: MetricKind) -> np.ndarray:
     return weight_factor(w, kind) * activation_factor(stats, kind)[None, :]
 
 
-PRESET_NAMES = ("magnitude", "wanda", "ria", "optishear-l2-gsm8k", "optishear-l3-gsm8k")
-
 _PRESETS: dict[str, MetricKind] = {
     "magnitude": MAGNITUDE,
     # |W_ij| * ||X_j||_2
@@ -262,6 +260,7 @@ _PRESETS: dict[str, MetricKind] = {
         Coeff.GLOBAL_MEAN, Coeff.GLOBAL_SUM, Transform.IDENTITY, Transform.SQRT
     ),
 }
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset(name: str) -> MetricKind:

@@ -172,9 +172,9 @@ def test_criterion_5_nm_constraint_suite():
 def test_criterion_6_alignment_ordering(fixture_weights, fixture_stats):
     d_found = alignment_discrepancy(fixture_weights, fixture_stats, preset("optishear-l2-gsm8k"))
     d_wanda = alignment_discrepancy(fixture_weights, fixture_stats, preset("wanda"))
-    ok = d_found.model_mean < d_wanda.model_mean
+    ok = d_found["model_mean"] < d_wanda["model_mean"]
     _report(6, "alignment ordering", ok,
-            f"d(optishear-l2-gsm8k) = {d_found.model_mean:.3f} < d(wanda) = {d_wanda.model_mean:.3f}")
+            f"d(optishear-l2-gsm8k) = {d_found['model_mean']:.3f} < d(wanda) = {d_wanda['model_mean']:.3f}")
 
 
 def test_criterion_7_pipeline_determinism(tmp_path):

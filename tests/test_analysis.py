@@ -4,12 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from prunesearch.analysis import (
-    AlignmentReport,
-    alignment_discrepancy,
-    distribution_summary,
-    emit_report,
-)
+from prunesearch.analysis import alignment_discrepancy, distribution_summary, emit_report
 from prunesearch.metric import MAGNITUDE, Coeff, MetricConfig, SubModuleStats, Transform, preset
 from prunesearch.model import (
     SUB_MODULES,
@@ -46,13 +41,13 @@ def test_wanda_hand_example():
     model = flat_model([[1.0, 1.0], [1.0, 1.0]])
     stats = flat_stats(model, [1.0, 1.0])
     report = alignment_discrepancy(model, stats, preset("wanda"))
-    entry = report.layers[0][0]
-    assert entry.weight_sum == 4.0
-    assert entry.activation_sum == 2.0
-    assert entry.difference == 2.0
+    entry = report["layers"][0]["sub_modules"][0]
+    assert entry["weight_sum"] == 4.0
+    assert entry["activation_sum"] == 2.0
+    assert entry["difference"] == 2.0
     # identical sub-modules: the per-layer mean equals the common difference
-    assert report.per_layer == (2.0,)
-    assert report.model_mean == 2.0
+    assert [layer["mean_difference"] for layer in report["layers"]] == [2.0]
+    assert report["model_mean"] == 2.0
 
 
 def test_softmax_both_sides():
@@ -60,10 +55,10 @@ def test_softmax_both_sides():
     stats = flat_stats(model, [0.3, 0.9])
     cfg = MetricConfig(Coeff.UNIFORM, Coeff.UNIFORM, Transform.SOFTMAX, Transform.SOFTMAX)
     report = alignment_discrepancy(model, stats, cfg)
-    entry = report.layers[0][0]
-    assert entry.weight_sum == pytest.approx(2.0, rel=1e-12)  # one per column
-    assert entry.activation_sum == pytest.approx(1.0, rel=1e-12)
-    assert entry.difference == pytest.approx(1.0, rel=1e-12)
+    entry = report["layers"][0]["sub_modules"][0]
+    assert entry["weight_sum"] == pytest.approx(2.0, rel=1e-12)  # one per column
+    assert entry["activation_sum"] == pytest.approx(1.0, rel=1e-12)
+    assert entry["difference"] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_magnitude_is_rejected(mini_weights, mini_stats):
@@ -73,10 +68,13 @@ def test_magnitude_is_rejected(mini_weights, mini_stats):
 
 def test_model_mean_is_mean_of_layer_means(mini_weights, mini_stats):
     report = alignment_discrepancy(mini_weights, mini_stats, preset("ria"))
-    assert report.model_mean == pytest.approx(np.mean(report.per_layer), rel=1e-12)
-    for layer_entries, layer_mean in zip(report.layers, report.per_layer):
-        assert layer_mean == pytest.approx(
-            np.mean([e.difference for e in layer_entries]), rel=1e-12
+    layers = report["layers"]
+    assert report["model_mean"] == pytest.approx(
+        np.mean([layer["mean_difference"] for layer in layers]), rel=1e-12
+    )
+    for layer in layers:
+        assert layer["mean_difference"] == pytest.approx(
+            np.mean([e["difference"] for e in layer["sub_modules"]]), rel=1e-12
         )
 
 
@@ -163,40 +161,37 @@ def _naive_sums(w_oi, stats, cfg):
 )
 def test_alignment_matches_naive_double_loop(mini_weights, mini_stats, kind):
     report = alignment_discrepancy(mini_weights, mini_stats, kind)
-    for i, entries in enumerate(report.layers):
-        for name, entry in zip(SUB_MODULES, entries):
+    for i, layer in enumerate(report["layers"]):
+        for name, entry in zip(SUB_MODULES, layer["sub_modules"]):
             key = sub_module_key(i, name)
+            assert entry["name"] == key
             w_sum, a_sum = _naive_sums(mini_weights.tensors[key].T, mini_stats[key], kind)
-            assert entry.weight_sum == pytest.approx(w_sum, rel=1e-9)
-            assert entry.activation_sum == pytest.approx(a_sum, rel=1e-9)
+            assert entry["weight_sum"] == pytest.approx(w_sum, rel=1e-9)
+            assert entry["activation_sum"] == pytest.approx(a_sum, rel=1e-9)
 
 
 def test_distribution_hand_values():
     model = flat_model([[1.0, -2.0], [3.0, 4.0]], n_layers=2)
     stats = flat_stats(model, [1.0, 1.0])
     report = distribution_summary(model, stats)
-    assert report.weight_l1 == (10.0, 10.0)  # every sub-module has L1 = 10
-    assert report.activation_l2 == (2.0, 2.0)
+    # every sub-module has L1 = 10
+    assert [layer["weight_l1_mean"] for layer in report["layers"]] == [10.0, 10.0]
+    assert [layer["activation_l2_mean"] for layer in report["layers"]] == [2.0, 2.0]
 
 
 def test_distribution_zero_weights():
     model = flat_model([[0.0, 0.0], [0.0, 0.0]])
     stats = flat_stats(model, [0.5, 0.5])
     report = distribution_summary(model, stats)
-    assert report.weight_l1 == (0.0,)
+    assert [layer["weight_l1_mean"] for layer in report["layers"]] == [0.0]
 
 
 def test_emit_json_round_trip(tmp_path, mini_weights, mini_stats):
     report = alignment_discrepancy(mini_weights, mini_stats, preset("wanda"))
     path = tmp_path / "align.json"
     emit_report(report, path)
-    doc = json.loads(path.read_text())
-    assert doc["model_mean"] == report.model_mean
-    for layer in doc["layers"]:
-        assert layer["mean_difference"] == report.per_layer[layer["layer"]]
-        for sub, entry in zip(layer["sub_modules"], report.layers[layer["layer"]]):
-            assert sub["weight_sum"] == entry.weight_sum
-            assert sub["activation_sum"] == entry.activation_sum
+    # floats survive the decimal round trip exactly
+    assert json.loads(path.read_text()) == report
 
 
 def test_emit_csv_row_count(tmp_path, mini_weights, mini_stats):
@@ -210,7 +205,7 @@ def test_emit_csv_row_count(tmp_path, mini_weights, mini_stats):
 
 
 def test_emit_empty_report_is_header_only(tmp_path):
-    empty = AlignmentReport(metric="wanda", layers=(), per_layer=(), model_mean=0.0)
+    empty = {"kind": "alignment", "layers": []}
     path = tmp_path / "empty.csv"
     emit_report(empty, path)
     assert path.read_text() == "layer,mean_difference\n"
@@ -220,4 +215,98 @@ def test_emit_writes_json_for_any_other_suffix(tmp_path, mini_weights, mini_stat
     report = distribution_summary(mini_weights, mini_stats)
     for name in ("dist.json", "dist.txt", "dist"):
         emit_report(report, tmp_path / name)
-        assert json.loads((tmp_path / name).read_text()) == report.to_dict()
+        assert json.loads((tmp_path / name).read_text()) == report
+
+
+ALIGN_JSON = """\
+{
+  "kind": "alignment",
+  "layers": [
+    {
+      "layer": 0,
+      "mean_difference": 2.0,
+      "sub_modules": [
+        {
+          "activation_sum": 2.0,
+          "difference": 2.0,
+          "name": "layer.0.q",
+          "weight_sum": 4.0
+        },
+        {
+          "activation_sum": 2.0,
+          "difference": 2.0,
+          "name": "layer.0.k",
+          "weight_sum": 4.0
+        },
+        {
+          "activation_sum": 2.0,
+          "difference": 2.0,
+          "name": "layer.0.v",
+          "weight_sum": 4.0
+        },
+        {
+          "activation_sum": 2.0,
+          "difference": 2.0,
+          "name": "layer.0.o",
+          "weight_sum": 4.0
+        },
+        {
+          "activation_sum": 2.0,
+          "difference": 2.0,
+          "name": "layer.0.gate",
+          "weight_sum": 4.0
+        },
+        {
+          "activation_sum": 2.0,
+          "difference": 2.0,
+          "name": "layer.0.up",
+          "weight_sum": 4.0
+        },
+        {
+          "activation_sum": 2.0,
+          "difference": 2.0,
+          "name": "layer.0.down",
+          "weight_sum": 4.0
+        }
+      ]
+    }
+  ],
+  "metric": "uniform,uniform,identity,identity",
+  "model_mean": 2.0
+}
+"""
+
+DIST_JSON = """\
+{
+  "kind": "distribution",
+  "layers": [
+    {
+      "activation_l2_mean": 2.0,
+      "layer": 0,
+      "weight_l1_mean": 10.0
+    },
+    {
+      "activation_l2_mean": 2.0,
+      "layer": 1,
+      "weight_l1_mean": 10.0
+    }
+  ]
+}
+"""
+
+
+def test_report_bytes_pinned(tmp_path):
+    # Every value is exact in binary, so these bytes hold on any CPU and BLAS.
+    model = flat_model([[1.0, 1.0], [1.0, 1.0]])
+    align = alignment_discrepancy(model, flat_stats(model, [1.0, 1.0]), preset("wanda"))
+    model = flat_model([[1.0, -2.0], [3.0, 4.0]], n_layers=2)
+    dist = distribution_summary(model, flat_stats(model, [1.0, 1.0]))
+    expected = {
+        "align.json": ALIGN_JSON,
+        "align.csv": "layer,mean_difference\n0,2.0\n",
+        "dist.json": DIST_JSON,
+        "dist.csv": "layer,weight_l1_mean,activation_l2_mean\n0,10.0,2.0\n1,10.0,2.0\n",
+    }
+    for name, text in expected.items():
+        emit_report(align if name.startswith("align") else dist, tmp_path / name)
+        assert (tmp_path / name).read_bytes() == text.encode()

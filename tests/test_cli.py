@@ -80,6 +80,8 @@ _MODEL_CONFIG = b'{"d_ff":8,"d_model":8,"max_seq_len":8,"n_heads":2,"n_layers":1
     "command, damaged, content",
     [
         ("stats", "calib", b'{"tokens":[1000000000000000000000000000000]}\n'),
+        ("stats", "calib", b'{"tokens":[1]}\n\n{"tokens":[2]}\n'),
+        ("stats", "calib", b'{"tokens":[1],"ids":[2]}\n'),
         ("eval", "calib", _DEEP + b"\n"),
         ("eval", "calib", b'{"tokens":[1,\xff]}\n'),
         ("dist", "stats", _DEEP),
@@ -88,7 +90,7 @@ _MODEL_CONFIG = b'{"d_ff":8,"d_model":8,"max_seq_len":8,"n_heads":2,"n_layers":1
         ("eval", "model", b"OPSH\x01\x00\x00\x00" + (len(_MODEL_CONFIG) + 26).to_bytes(4, "little")
          + b'{"config":' + _MODEL_CONFIG + b',"kind":"model"}' + bytes(4)),
     ],
-    ids=["token-beyond-int64", "deep-calib", "calib-not-utf8", "deep-stats", "stats-not-utf8",
+    ids=["token-beyond-int64", "calib-blank-line", "calib-extra-key", "deep-calib", "calib-not-utf8", "deep-stats", "stats-not-utf8",
          "deep-model-header", "header-of-100000-layers"],
 )
 def test_damaged_inputs_exit_2_with_one_line_error(micro_files, capsys, command, damaged, content):

@@ -261,6 +261,13 @@ def test_read_calib_rejects_malformed(tmp_path):
     path.write_text('{"ids": [1]}\n')
     with pytest.raises(storage.FormatError, match="tokens"):
         storage.read_calib(path)
+    # no writer leaves a blank line or a key beside "tokens"; both are damage
+    path.write_text('{"tokens": [1, 2]}\n\n{"tokens": [3]}\n')
+    with pytest.raises(storage.FormatError, match="bad.jsonl:2"):
+        storage.read_calib(path)
+    path.write_text('{"tokens": [1, 2]}\n{"tokens": [3], "ids": [4]}\n')
+    with pytest.raises(storage.FormatError, match="bad.jsonl:2: .*only a 'tokens'"):
+        storage.read_calib(path)
 
 
 def test_stats_round_trip_exact(tmp_path, mini_stats):
