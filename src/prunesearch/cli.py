@@ -14,7 +14,7 @@ from . import io as storage
 from .analysis import alignment_discrepancy, distribution_summary, emit_report
 from .metric import PRESET_NAMES, MetricKind, parse_kind
 from .model import ModelConfig, final_hidden_batch, init_model
-from .objective import collect_activation_stats, divergence, make_context, synthetic_calibration
+from .objective import collect_activation_stats, divergence, make_context, scoring_workers, synthetic_calibration
 from .prune import SparsitySpec, parse_sparsity, prune_model, sparsity_of
 from .search import SearchParams, exhaustive_search, nsga2_search, random_search
 
@@ -23,7 +23,10 @@ _METRIC_HELP = (
     "with canonical names or codes 0..6"
 )
 _SPARSITY_HELP = "sparsity: a ratio in [0,1] (e.g. 0.5) or an N:M pattern (e.g. 4:8, 2:4)"
-_JOBS_HELP = "accepted for compatibility (must be >= 1); evaluation runs on one thread"
+_JOBS_HELP = (
+    "worker processes that score new mask sets (>= 1; at most the usable CPUs); "
+    "results are byte-identical for every value"
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -202,11 +205,12 @@ def _cmd_search(args) -> int:
     weights = storage.read_model(args.model)
     calib = storage.read_calib(args.calib)
     ctx = make_context(weights, calib, args.sparsity)
-    if args.algo == "nsga2":
-        params = SearchParams(population=args.pop, budget=args.budget, seed=args.seed)
-        result = nsga2_search(ctx, params)
-    else:
-        result = random_search(ctx, args.budget, args.seed)
+    with scoring_workers(ctx, args.jobs) as ctx:
+        if args.algo == "nsga2":
+            params = SearchParams(population=args.pop, budget=args.budget, seed=args.seed)
+            result = nsga2_search(ctx, params)
+        else:
+            result = random_search(ctx, args.budget, args.seed)
     storage.write_results(result, args.out, _csv_sibling(args.out))
     print(
         f"{result.algorithm}: best {result.best_config} l_div {result.best_l_div!r} "
@@ -219,7 +223,8 @@ def _cmd_enumerate(args) -> int:
     weights = storage.read_model(args.model)
     calib = storage.read_calib(args.calib)
     ctx = make_context(weights, calib, args.sparsity)
-    result = exhaustive_search(ctx)
+    with scoring_workers(ctx, args.jobs) as ctx:
+        result = exhaustive_search(ctx)
     storage.write_results(result, args.out, _csv_sibling(args.out))
     print(f"exhaustive: best {result.best_config} l_div {result.best_l_div!r}")
     return 0
@@ -253,6 +258,9 @@ def run(argv=None) -> int:
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

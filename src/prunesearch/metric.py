@@ -286,6 +286,14 @@ _ALPHA_RANK_NEUTRAL = frozenset(
 _BETA_RANK_NEUTRAL = frozenset(
     {Coeff.UNIFORM, Coeff.GLOBAL_SUM, Coeff.FROBENIUS, Coeff.GLOBAL_MEAN, Coeff.COL_WISE}
 )
+# Distinct mask_equivalence_key values: each side's rank-neutral coefficients
+# share one key, the other coefficients and both transformations keep theirs.
+MASK_CLASS_COUNT = (
+    (N_COEFFS - len(_ALPHA_RANK_NEUTRAL) + 1)
+    * (N_COEFFS - len(_BETA_RANK_NEUTRAL) + 1)
+    * N_TRANSFORMS
+    * N_TRANSFORMS
+)  # 441
 
 
 def mask_equivalence_key(config: MetricConfig) -> tuple:

@@ -6,8 +6,11 @@ states. Any positive normalization preserves the ranking of configs; this one
 keeps values comparable across calibration sizes.
 """
 
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+import contextlib
+import os
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -15,7 +18,15 @@ from .metric import MetricKind, SubModuleStats
 from .model import ModelWeights, final_hidden_batch, forward
 from .prune import SparsitySpec, apply_masks, packed_mask_sets, unpack_mask_set
 
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
+
 ActivationStats = dict[str, SubModuleStats]
+
+# New mask sets scored per dispatch of evaluate_configs. A batch holds its
+# packed sets (params/8 bytes each) until it is scored, so the memory a call
+# holds stays bounded however many configs it is given.
+SCORE_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -107,7 +118,9 @@ class EvalContext:
     packed bits of each mask in sub-module order) to its fitness, so the pruned copy and its
     divergence are computed once per distinct mask set per context. It holds
     about params/8 bytes (one bit per prunable weight) per distinct mask set
-    and lives as long as the context.
+    and lives as long as the context. `workers`, set only inside
+    scoring_workers, is the process pool that scores new mask sets; without
+    it they are scored in this process.
     """
 
     weights: ModelWeights
@@ -116,6 +129,7 @@ class EvalContext:
     calib: CalibrationSet
     spec: SparsitySpec
     fitness_by_masks: dict[bytes, Fitness] = field(default_factory=dict)
+    workers: "Executor | None" = None
 
 
 def make_context(weights: ModelWeights, calib: CalibrationSet, spec: SparsitySpec) -> EvalContext:
@@ -128,6 +142,73 @@ def make_context(weights: ModelWeights, calib: CalibrationSet, spec: SparsitySpe
     )
 
 
+def worker_count(jobs: int, usable_cpus: int) -> int:
+    """Worker processes for `jobs` requested: never more than the usable CPUs."""
+    return max(1, min(jobs, usable_cpus))
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def scoring_workers(ctx: EvalContext, jobs: int) -> Iterator[EvalContext]:
+    """ctx, with its new mask sets scored on worker_count(jobs, usable CPUs)
+    processes while the block runs.
+
+    With one worker ctx itself is yielded: nothing is forked and
+    multiprocessing is not imported. Otherwise the yielded context shares
+    ctx's inputs and fitness cache, and a process pool of the `fork` start
+    method scores the new mask sets of each evaluate_configs batch. The
+    workers inherit ctx when they are forked (at the first batch), so it is
+    never pickled: each task is one packed mask set, each result one Fitness.
+    The pool forks all its workers before it starts a thread of its own, so
+    a caller that runs one thread, as the CLI does, forks a one-thread
+    process. A worker's exception is raised again in the caller, and the
+    pool is shut down and its processes joined when the block exits.
+    """
+    workers = worker_count(jobs, _usable_cpus())
+    if workers == 1:
+        yield ctx
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker, initargs=(ctx,),
+    )
+    with pool:
+        yield replace(ctx, workers=pool)
+
+
+_worker_ctx: EvalContext | None = None  # set in each worker process by _init_worker
+
+
+def _init_worker(ctx: EvalContext) -> None:
+    global _worker_ctx
+    _worker_ctx = ctx
+
+
+def _score_in_worker(packed: bytes) -> Fitness:
+    return _score(_worker_ctx, packed)
+
+
+def _score(ctx: EvalContext, packed: bytes) -> Fitness:
+    """The fitness of one mask set: its pruned copy run through divergence."""
+    pruned = apply_masks(ctx.weights, unpack_mask_set(packed, ctx.weights.config))
+    return divergence(ctx.dense_hidden, pruned, ctx.calib)
+
+
+def _score_batch(ctx: EvalContext, batch: list[bytes]) -> list[Fitness]:
+    """The fitness of each new mask set of a batch, in batch order."""
+    if ctx.workers is None or len(batch) == 1:
+        return [_score(ctx, packed) for packed in batch]
+    return list(ctx.workers.map(_score_in_worker, batch))
+
+
 def evaluate_configs(ctx: EvalContext, kinds: Sequence[MetricKind]) -> list[Fitness]:
     """Fitness of each kind, in input order; pure in (ctx, kinds).
 
@@ -135,18 +216,32 @@ def evaluate_configs(ctx: EvalContext, kinds: Sequence[MetricKind]) -> list[Fitn
     factor and a few stacked build_mask calls per (alpha, f1) group and
     sub-module). A mask set the context has seen takes its cached fitness;
     only a new one is unpacked, applied to a pruned copy and run through
-    divergence. Identical masks give identical pruned weights, so a cached
-    fitness is bit-identical to a recomputed one. Search budgets count
-    configs, not forwards.
+    divergence. New mask sets are scored in batches of SCORE_BATCH, on the
+    context's workers when it has them, and enter the cache in batch order.
+    Identical masks give identical pruned weights, so a cached fitness, or
+    one computed in a worker, is bit-identical to a recomputed one. Search
+    budgets count configs, not forwards.
     """
     distinct = list(dict.fromkeys(kinds))
     fitness: dict[MetricKind, Fitness] = {}
+    pending: dict[bytes, list[MetricKind]] = {}
+
+    def flush():
+        for (packed, waiting), fit in zip(pending.items(), _score_batch(ctx, list(pending))):
+            ctx.fitness_by_masks[packed] = fit
+            for kind in waiting:
+                fitness[kind] = fit
+        pending.clear()
+
     for i, packed in packed_mask_sets(ctx.weights, ctx.stats, distinct, ctx.spec):
         fit = ctx.fitness_by_masks.get(packed)
-        if fit is None:
-            pruned = apply_masks(ctx.weights, unpack_mask_set(packed, ctx.weights.config))
-            fit = ctx.fitness_by_masks[packed] = divergence(ctx.dense_hidden, pruned, ctx.calib)
-        fitness[distinct[i]] = fit
+        if fit is not None:
+            fitness[distinct[i]] = fit
+            continue
+        pending.setdefault(packed, []).append(distinct[i])
+        if len(pending) == SCORE_BATCH:
+            flush()
+    flush()
     return [fitness[kind] for kind in kinds]
 
 

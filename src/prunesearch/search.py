@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import N_COEFFS, N_TRANSFORMS, SPACE_SIZE, MetricConfig, mask_equivalence_key
-from .objective import EvalContext, evaluate_config, evaluate_configs
+from .metric import MASK_CLASS_COUNT, N_COEFFS, N_TRANSFORMS, SPACE_SIZE, MetricConfig, mask_equivalence_key
+from .objective import EvalContext, evaluate_configs
 
 GENE_COUNT = 4
 GENE_MAX = 1.0 - 1e-9  # genes stay in [0, 1) so floor-decoding never overflows
@@ -38,6 +38,12 @@ class SearchParams:
             raise ValueError(f"population must be even and >= 2, got {self.population}")
         if self.budget < self.population:
             raise ValueError(f"budget ({self.budget}) must be >= population ({self.population})")
+        if self.population > MASK_CLASS_COUNT:
+            # The first generation draws one config from each of `population`
+            # distinct mask classes.
+            raise ValueError(
+                f"population ({self.population}) exceeds the {MASK_CLASS_COUNT} distinct mask classes"
+            )
 
 
 @dataclass
@@ -163,18 +169,20 @@ class _TrialLog:
     def resolve(self, configs: list[MetricConfig]) -> list[float | None]:
         """Fitness per config, evaluating unseen ones in order while budget remains.
 
-        Every config with a known fitness is appended to the trial log, memo
+        The distinct configs the memo has not seen, in candidate order and cut
+        to the remaining budget, go through one evaluate_configs call. Every
+        config with a known fitness is then appended to the trial log, memo
         hits included. Returns None for configs left unevaluated because the
         budget ran out.
         """
-        out: list[float | None] = []
-        for cfg in configs:
-            if cfg not in self.memo and self.remaining > 0:
-                self.memo[cfg] = evaluate_config(self.ctx, cfg).l_div
-            value = self.memo.get(cfg)
+        unseen = [cfg for cfg in dict.fromkeys(configs) if cfg not in self.memo][: self.remaining]
+        if unseen:
+            for cfg, fit in zip(unseen, evaluate_configs(self.ctx, unseen)):
+                self.memo[cfg] = fit.l_div
+        out = [self.memo.get(cfg) for cfg in configs]
+        for cfg, value in zip(configs, out):
             if value is not None:
                 self.trials.append((len(self.trials), cfg, value))
-            out.append(value)
         return out
 
     def result(self, algorithm: str, seed: int | None) -> SearchResult:

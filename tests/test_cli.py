@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import math
+import multiprocessing
+import os
 import shutil
 from pathlib import Path
 
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prunesearch import io as storage
+from prunesearch import objective
 from prunesearch.analysis import distribution_summary, emit_report
 from prunesearch.cli import run
 from prunesearch.metric import PRESET_NAMES
@@ -64,6 +67,64 @@ def test_bad_metric_and_sparsity_are_usage_errors(micro_files, capsys):
     assert run(["search", *inputs, "--jobs", "-3"]) == 1
     assert run(["enumerate", *inputs, "--jobs", "0"]) == 1
     capsys.readouterr()
+
+
+def test_population_above_the_mask_classes_exits_2(micro_files, capsys):
+    code = run(["search", "--model", str(micro_files["model"]), "--calib", str(micro_files["calib"]),
+                "--sparsity", "0.5", "--pop", "442", "--budget", "442", "--out", str(micro_files["dir"] / "r.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "441" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gen-model", "--vocab", "1000000000000"], ["gen-calib", "--seqs", "100000000000000"],
+     ["gen-calib", "--len", "100000000000000"]],
+    ids=["vocab", "seqs", "len"],
+)
+def test_allocation_beyond_memory_exits_2(tmp_path, capsys, argv):
+    # Hundreds of TiB at least: malloc refuses at once, nothing is touched.
+    assert run([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+
+
+def _search_argv(files, out, jobs):
+    return ["search", "--model", str(files["model"]), "--calib", str(files["calib"]), "--sparsity", "0.5",
+            "--budget", "40", "--pop", "8", "--seed", "2", "--jobs", str(jobs), "--out", str(out)]
+
+
+def test_search_with_workers_matches_one_worker_and_leaves_no_process(micro_files, monkeypatch, capsys):
+    monkeypatch.setattr(objective, "_usable_cpus", lambda: 2)
+    one, two = micro_files["dir"] / "one.json", micro_files["dir"] / "two.json"
+    assert run(_search_argv(micro_files, one, 1)) == 0
+    assert run(_search_argv(micro_files, two, 2)) == 0
+    assert multiprocessing.active_children() == []
+    assert one.read_bytes() == two.read_bytes()
+    assert one.with_suffix(".csv").read_bytes() == two.with_suffix(".csv").read_bytes()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("error", [ValueError, MemoryError])
+def test_error_in_a_worker_exits_2_with_one_line(micro_files, monkeypatch, capsys, error):
+    parent, divergence = os.getpid(), objective.divergence
+
+    def failing_in_worker(*args):
+        if os.getpid() != parent:
+            raise error("divergence failed in a worker")
+        return divergence(*args)
+
+    monkeypatch.setattr(objective, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(objective, "divergence", failing_in_worker)
+    enumerate_argv = ["enumerate", "--model", str(micro_files["model"]), "--calib", str(micro_files["calib"]),
+                      "--sparsity", "0.5", "--jobs", "2", "--out", str(micro_files["dir"] / "t.json")]
+    for command in (_search_argv(micro_files, micro_files["dir"] / "r.json", 2), enumerate_argv):
+        assert run(command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "failed in a worker" in err
+        assert multiprocessing.active_children() == []
+    assert not (micro_files["dir"] / "r.json").exists() and not (micro_files["dir"] / "t.json").exists()
 
 
 def test_missing_file_is_data_error(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,10 @@ from prunesearch.objective import (
     evaluate_config,
     evaluate_configs,
     make_context,
+    scoring_workers,
     synthetic_calibration,
     token_mean_sqdist,
+    worker_count,
 )
 from prunesearch.prune import SemiStructured, Unstructured, prune_model
 from prunesearch.search import all_configs, exhaustive_search
@@ -194,6 +198,35 @@ def test_evaluate_configs_keeps_input_order_and_duplicates(mini_weights, mini_ca
     assert [fit.l_div for fit in grouped] == [evaluate_config(one_by_one, kind).l_div for kind in kinds]
     assert grouped[0] is grouped[3] and grouped[1] is grouped[4]
     assert evaluate_configs(one_by_one, []) == []
+
+
+@pytest.mark.parametrize("spec", [Unstructured(0.5), SemiStructured(2, 4)], ids=["0.5", "2:4"])
+def test_worker_scores_are_bit_identical_to_in_process(mini_weights, mini_calib, spec, monkeypatch):
+    # The first 300 configs repeat mask sets (rank-neutral alphas and betas)
+    # and hold more new mask sets than one batch; the tail repeats kinds.
+    kinds = all_configs()[:300]
+    kinds += kinds[:40]
+    local = make_context(mini_weights, mini_calib, spec)
+    expected = evaluate_configs(local, kinds)
+    assert objective.SCORE_BATCH < len(local.fitness_by_masks) < len(set(kinds))
+
+    monkeypatch.setattr(objective, "_usable_cpus", lambda: 2)
+    with scoring_workers(make_context(mini_weights, mini_calib, spec), jobs=2) as pooled:
+        got = evaluate_configs(pooled, kinds)
+        assert len(multiprocessing.active_children()) == 2
+    assert multiprocessing.active_children() == []
+    assert [fit.l_div for fit in got] == [fit.l_div for fit in expected]
+    assert list(pooled.fitness_by_masks.items()) == list(local.fitness_by_masks.items())
+
+
+def test_one_worker_forks_nothing(mini_ctx):
+    with scoring_workers(mini_ctx, jobs=1) as ctx:
+        assert ctx is mini_ctx and ctx.workers is None
+
+
+@pytest.mark.parametrize("jobs, cpus, expected", [(1, 64, 1), (4, 2, 2), (2, 2, 2), (3, 8, 3), (10**9, 8, 8), (5, 1, 1)])
+def test_worker_count_is_capped_by_the_usable_cpus(jobs, cpus, expected):
+    assert worker_count(jobs, cpus) == expected
 
 
 def test_fitness_rejects_non_finite():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from prunesearch.metric import mask_equivalence_key
+from prunesearch.metric import MASK_CLASS_COUNT, mask_equivalence_key
 from prunesearch.objective import make_context
 from prunesearch.prune import Unstructured
 from prunesearch.search import (
@@ -140,6 +140,11 @@ def test_params_validation():
         SearchParams(population=7)
     with pytest.raises(ValueError):
         SearchParams(population=24, budget=23)
+    # The first generation needs one config per distinct mask class.
+    assert MASK_CLASS_COUNT == len({mask_equivalence_key(cfg) for cfg in all_configs()}) == 441
+    SearchParams(population=440, budget=441)
+    with pytest.raises(ValueError, match="mask classes"):
+        SearchParams(population=442, budget=442)
 
 
 class TestNsga2:
