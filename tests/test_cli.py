@@ -117,14 +117,26 @@ def test_error_in_a_worker_exits_2_with_one_line(micro_files, monkeypatch, capsy
 
     monkeypatch.setattr(objective, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(objective, "divergence", failing_in_worker)
-    enumerate_argv = ["enumerate", "--model", str(micro_files["model"]), "--calib", str(micro_files["calib"]),
-                      "--sparsity", "0.5", "--jobs", "2", "--out", str(micro_files["dir"] / "t.json")]
-    for command in (_search_argv(micro_files, micro_files["dir"] / "r.json", 2), enumerate_argv):
-        assert run(command) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1 and "failed in a worker" in err
-        assert multiprocessing.active_children() == []
-    assert not (micro_files["dir"] / "r.json").exists() and not (micro_files["dir"] / "t.json").exists()
+    assert run(_search_argv(micro_files, micro_files["dir"] / "r.json", 2)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "failed in a worker" in err
+    assert multiprocessing.active_children() == []
+    assert not (micro_files["dir"] / "r.json").exists()
+
+
+def test_enumerate_scores_in_its_own_process_for_any_jobs(micro_files, monkeypatch, capsys):
+    def no_fork():
+        raise AssertionError("enumerate forked a process")
+
+    monkeypatch.setattr(objective, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    tables = []
+    for jobs in (1, 2):
+        tables.append(micro_files["dir"] / f"t{jobs}.json")
+        assert run(["enumerate", "--model", str(micro_files["model"]), "--calib", str(micro_files["calib"]),
+                    "--sparsity", "0.5", "--jobs", str(jobs), "--out", str(tables[-1])]) == 0
+    assert tables[0].read_bytes() == tables[1].read_bytes()
+    capsys.readouterr()
 
 
 def test_missing_file_is_data_error(tmp_path, capsys):
