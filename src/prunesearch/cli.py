@@ -15,7 +15,7 @@ from .analysis import alignment_discrepancy, distribution_summary, emit_report
 from .metric import PRESET_NAMES, MetricKind, parse_kind
 from .model import ModelConfig, final_hidden_batch, init_model
 from .objective import collect_activation_stats, divergence, make_context, scoring_workers, synthetic_calibration
-from .prune import SparsitySpec, parse_sparsity, prune_model, sparsity_of
+from .prune import SparsitySpec, parse_sparsity, prune_model
 from .search import SearchParams, exhaustive_search, nsga2_search, random_search
 
 _METRIC_HELP = (
@@ -52,14 +52,19 @@ def _sparsity_arg(text: str) -> SparsitySpec:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _jobs_arg(text: str) -> int:
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad job count {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"job count must be >= 1, got {jobs}")
-    return jobs
+def _int_at_least(minimum: int):
+    """An argparse type for an integer >= minimum; argparse names the flag."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad integer {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-ff", type=int, default=64)
     p.add_argument("--vocab", type=int, default=128)
     p.add_argument("--max-seq", type=int, default=64)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_int_at_least(0), default=42)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_model)
 
@@ -85,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", type=int, default=128)
     p.add_argument("--seqs", type=int, default=8)
     p.add_argument("--len", type=int, default=64, dest="seq_len")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=_int_at_least(0), default=7)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_calib)
 
@@ -117,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=("nsga2", "random"), default="nsga2")
     p.add_argument("--budget", type=int, default=350)
     p.add_argument("--pop", type=int, default=24)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=_jobs_arg, default=1, help=_JOBS_HELP)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1, help=_JOBS_HELP)
     p.add_argument("--out", required=True, help="results JSON path; a sibling .csv is written too")
     p.set_defaults(func=_cmd_search)
 
@@ -126,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--calib", required=True)
     p.add_argument("--sparsity", type=_sparsity_arg, required=True, help=_SPARSITY_HELP)
-    p.add_argument("--jobs", type=_jobs_arg, default=1, help=_ENUMERATE_JOBS_HELP)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1, help=_ENUMERATE_JOBS_HELP)
     p.add_argument("--out", required=True, help="results JSON path; a sibling .csv is written too")
     p.set_defaults(func=_cmd_enumerate)
 
@@ -188,7 +193,8 @@ def _cmd_prune(args) -> int:
     storage.write_model(args.out, pruned)
     if args.masks_out:
         storage.write_masks(args.masks_out, masks)
-    overall = sum(sparsity_of(m) for m in masks.values()) / len(masks)
+    # The mean over sub-modules of the fraction of weights each mask drops.
+    overall = sum(1.0 - float(m.bits.sum()) / m.bits.size for m in masks.values()) / len(masks)
     print(f"pruned {len(masks)} sub-modules (mean sparsity {overall:.4f}) to {args.out}")
     return 0
 
@@ -197,8 +203,7 @@ def _cmd_eval(args) -> int:
     dense = storage.read_model(args.dense)
     pruned = storage.read_model(args.pruned)
     calib = storage.read_calib(args.calib)
-    fit = divergence(final_hidden_batch(dense, calib), pruned, calib)
-    print(fit.l_div)
+    print(divergence(final_hidden_batch(dense, calib), pruned, calib))
     return 0
 
 

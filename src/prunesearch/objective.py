@@ -23,11 +23,6 @@ if TYPE_CHECKING:
 
 ActivationStats = dict[str, SubModuleStats]
 
-# New mask sets scored per dispatch of evaluate_configs. A batch holds its
-# packed sets (params/8 bytes each) until it is scored, so the memory a call
-# holds stays bounded however many configs it is given.
-SCORE_BATCH = 32
-
 
 @dataclass(frozen=True)
 class CalibrationSet:
@@ -76,25 +71,17 @@ def collect_activation_stats(weights: ModelWeights, calib: CalibrationSet) -> Ac
     }
 
 
-@dataclass(frozen=True)
-class Fitness:
-    l_div: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.l_div) or self.l_div < 0.0:
-            raise ValueError("divergence must be finite and nonnegative")
-
-
 def token_mean_sqdist(a: np.ndarray, b: np.ndarray) -> float:
     """Per-token mean of the squared L2 distance between two T x d blocks."""
     diff = a - b
     return float((diff * diff).sum(axis=1).mean())
 
 
-def divergence(dense_hidden: list[np.ndarray], pruned: ModelWeights, calib: CalibrationSet) -> Fitness:
+def divergence(dense_hidden: list[np.ndarray], pruned: ModelWeights, calib: CalibrationSet) -> float:
     """Mean over sequences of the per-token mean squared hidden-state distance.
 
     dense_hidden must come from the same calibration set in the same order.
+    This float is the fitness; one that is not finite and nonnegative raises.
     """
     if len(dense_hidden) != len(calib.sequences):
         raise ValueError(
@@ -106,7 +93,10 @@ def divergence(dense_hidden: list[np.ndarray], pruned: ModelWeights, calib: Cali
         if h.shape != ref.shape:
             raise ValueError(f"cached hidden shape {ref.shape} does not match forward {h.shape}")
         total += token_mean_sqdist(ref, h)
-    return Fitness(l_div=total / len(calib.sequences))
+    l_div = total / len(calib.sequences)
+    if not np.isfinite(l_div) or l_div < 0.0:
+        raise ValueError("divergence must be finite and nonnegative")
+    return l_div
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,13 +104,13 @@ class EvalContext:
     """Shared inputs for scoring candidate configs.
 
     The dense hidden cache and activation stats are computed once and reused
-    for every candidate. `fitness_by_masks` maps a packed mask set (the
-    packed bits of each mask in sub-module order) to its fitness, so the pruned copy and its
-    divergence are computed once per distinct mask set per context. It holds
-    about params/8 bytes (one bit per prunable weight) per distinct mask set
-    and lives as long as the context. `workers`, set only inside
-    scoring_workers, is the process pool that scores new mask sets; without
-    it they are scored in this process.
+    for every candidate. `fitness_by_masks` maps a packed mask set (the packed
+    bits of each mask in sub-module order) to its fitness, the float
+    divergence gives, so the pruned copy and its divergence are computed once
+    per distinct mask set per context. It holds about params/8 bytes (one bit
+    per prunable weight) per distinct mask set and lives as long as the
+    context. `workers`, set only inside scoring_workers, is the process pool
+    that scores new mask sets; without it they are scored in this process.
     """
 
     weights: ModelWeights
@@ -128,7 +118,7 @@ class EvalContext:
     dense_hidden: list[np.ndarray]
     calib: CalibrationSet
     spec: SparsitySpec
-    fitness_by_masks: dict[bytes, Fitness] = field(default_factory=dict)
+    fitness_by_masks: dict[bytes, float] = field(default_factory=dict)
     workers: "Executor | None" = None
 
 
@@ -161,13 +151,14 @@ def scoring_workers(ctx: EvalContext, jobs: int) -> Iterator[EvalContext]:
     With one worker ctx itself is yielded: nothing is forked and
     multiprocessing is not imported. Otherwise the yielded context shares
     ctx's inputs and fitness cache, and a process pool of the `fork` start
-    method scores the new mask sets of each evaluate_configs batch. The
-    workers inherit ctx when they are forked (at the first batch), so it is
-    never pickled: each task is one packed mask set, each result one Fitness.
-    The pool forks all its workers before it starts a thread of its own, so
-    a caller that runs one thread, as the CLI does, forks a one-thread
-    process. A worker's exception is raised again in the caller, and the
-    pool is shut down and its processes joined when the block exits.
+    method scores the new mask sets of each evaluate_configs call. The workers
+    inherit ctx when they are forked (at the first call with more than one new
+    mask set), so it is never pickled: each task is one packed mask set, each
+    result one float. The pool forks all its workers before it starts a thread
+    of its own, so a caller that runs one thread, as the CLI does, forks a
+    one-thread process. A worker's exception is raised again in the caller, a
+    worker that dies is an OSError, and the pool is shut down and its
+    processes joined when the block exits.
     """
     workers = worker_count(jobs, _usable_cpus())
     if workers == 1:
@@ -175,13 +166,17 @@ def scoring_workers(ctx: EvalContext, jobs: int) -> Iterator[EvalContext]:
         return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     pool = ProcessPoolExecutor(
         workers, mp_context=multiprocessing.get_context("fork"),
         initializer=_init_worker, initargs=(ctx,),
     )
     with pool:
-        yield replace(ctx, workers=pool)
+        try:
+            yield replace(ctx, workers=pool)
+        except BrokenProcessPool as exc:
+            raise OSError(f"a scoring worker died: {exc}") from None
 
 
 _worker_ctx: EvalContext | None = None  # set in each worker process by _init_worker
@@ -192,60 +187,55 @@ def _init_worker(ctx: EvalContext) -> None:
     _worker_ctx = ctx
 
 
-def _score_in_worker(packed: bytes) -> Fitness:
+def _score_in_worker(packed: bytes) -> float:
     return _score(_worker_ctx, packed)
 
 
-def _score(ctx: EvalContext, packed: bytes) -> Fitness:
+def _score(ctx: EvalContext, packed: bytes) -> float:
     """The fitness of one mask set: its pruned copy run through divergence."""
     pruned = apply_masks(ctx.weights, unpack_mask_set(packed, ctx.weights.config))
     return divergence(ctx.dense_hidden, pruned, ctx.calib)
 
 
-def _score_batch(ctx: EvalContext, batch: list[bytes]) -> list[Fitness]:
+def _score_batch(ctx: EvalContext, batch: list[bytes]) -> list[float]:
     """The fitness of each new mask set of a batch, in batch order."""
     if ctx.workers is None or len(batch) == 1:
         return [_score(ctx, packed) for packed in batch]
     return list(ctx.workers.map(_score_in_worker, batch))
 
 
-def evaluate_configs(ctx: EvalContext, kinds: Sequence[MetricKind]) -> list[Fitness]:
-    """Fitness of each kind, in input order; pure in (ctx, kinds).
+def evaluate_configs(ctx: EvalContext, kinds: Sequence[MetricKind]) -> list[float]:
+    """Fitness (the float divergence gives) of each kind, in input order;
+    pure in (ctx, kinds).
 
     The distinct kinds are masked together by packed_mask_sets (one weight
     factor and a few stacked build_mask calls per (alpha, f1) group and
     sub-module). A mask set the context has seen takes its cached fitness;
     only a new one is unpacked, applied to a pruned copy and run through
-    divergence. New mask sets are scored in batches of SCORE_BATCH, on the
+    divergence. The new mask sets of a call are scored in one batch, on the
     context's workers when it has them, and enter the cache in batch order.
-    Identical masks give identical pruned weights, so a cached fitness, or
-    one computed in a worker, is bit-identical to a recomputed one. Search
-    budgets count configs, not forwards.
+    Every new packed set stays in the cache anyway, so the batch holds no
+    memory the cache would not. Identical masks give identical pruned
+    weights, so a cached fitness, or one computed in a worker, is
+    bit-identical to a recomputed one. Search budgets count configs, not
+    forwards.
     """
     distinct = list(dict.fromkeys(kinds))
-    fitness: dict[MetricKind, Fitness] = {}
-    pending: dict[bytes, list[MetricKind]] = {}
-
-    def flush():
-        for (packed, waiting), fit in zip(pending.items(), _score_batch(ctx, list(pending))):
-            ctx.fitness_by_masks[packed] = fit
-            for kind in waiting:
-                fitness[kind] = fit
-        pending.clear()
-
+    fitness: dict[MetricKind, float] = {}
+    new: dict[bytes, list[MetricKind]] = {}
     for i, packed in packed_mask_sets(ctx.weights, ctx.stats, distinct, ctx.spec):
-        fit = ctx.fitness_by_masks.get(packed)
-        if fit is not None:
-            fitness[distinct[i]] = fit
-            continue
-        pending.setdefault(packed, []).append(distinct[i])
-        if len(pending) == SCORE_BATCH:
-            flush()
-    flush()
+        if packed in ctx.fitness_by_masks:
+            fitness[distinct[i]] = ctx.fitness_by_masks[packed]
+        else:
+            new.setdefault(packed, []).append(distinct[i])
+    for (packed, waiting), fit in zip(new.items(), _score_batch(ctx, list(new))):
+        ctx.fitness_by_masks[packed] = fit
+        for kind in waiting:
+            fitness[kind] = fit
     return [fitness[kind] for kind in kinds]
 
 
-def evaluate_config(ctx: EvalContext, kind: MetricKind) -> Fitness:
+def evaluate_config(ctx: EvalContext, kind: MetricKind) -> float:
     """Score -> mask -> (pruned copy -> divergence on a new mask set) for one
     kind: evaluate_configs(ctx, [kind])[0]."""
     return evaluate_configs(ctx, [kind])[0]

@@ -87,23 +87,24 @@ def parse_sparsity(text: str) -> SparsitySpec:
 class Mask:
     """Keep flags of one sub-module, output x input; True = keep.
 
-    The bits may carry leading batch axes: build_mask masks a stack of score
-    matrices (one per config) at once. The masks of a pruned model, and the
-    masks a file holds, are 2-D.
+    A Mask holds exactly one 2-D mask: the masks of a pruned model, and the
+    masks a file holds. A stack of masks (build_mask's bits for a stack of
+    score matrices) is a plain array, never a Mask.
     """
 
     bits: np.ndarray
 
     def __post_init__(self):
-        if self.bits.ndim < 2 or self.bits.dtype != np.bool_:
-            raise ValueError("mask bits must be a boolean array of at least 2 dimensions")
+        if self.bits.ndim != 2 or self.bits.dtype != np.bool_:
+            raise ValueError(f"mask bits must be a 2-D boolean array, got a {self.bits.ndim}-D {self.bits.dtype} array")
 
 
 MaskSet = dict[str, Mask]
 
 
-def build_mask(scores: np.ndarray, spec: SparsitySpec) -> Mask:
-    """Keep the highest-scoring entries allowed by the sparsity constraint.
+def build_mask(scores: np.ndarray, spec: SparsitySpec) -> np.ndarray:
+    """Bool keep flags (True = keep) of the highest-scoring entries allowed
+    by the sparsity constraint, shaped like the scores.
 
     spec.groups(cols) gives (width, keep): each row of the output x input
     scores is split into aligned groups of `width` consecutive columns, and
@@ -120,10 +121,12 @@ def build_mask(scores: np.ndarray, spec: SparsitySpec) -> Mask:
     by a stable descending argsort, which applies the tie and NaN order
     above.
     """
+    if scores.ndim < 2:
+        raise ValueError(f"scores must be output x input, got shape {scores.shape}")
     width, keep = spec.groups(scores.shape[-1])
     neg = -scores.reshape(-1, width)
     if keep in (0, width):
-        return Mask(bits=np.full(scores.shape, keep == width))
+        return np.full(scores.shape, keep == width)
     ranked = np.sort(neg, axis=1)
     last, first_out = ranked[:, keep - 1], ranked[:, keep]
     bits = neg <= last[:, None]
@@ -133,7 +136,7 @@ def build_mask(scores: np.ndarray, spec: SparsitySpec) -> Mask:
         stable = np.zeros((tied.size, width), dtype=bool)
         np.put_along_axis(stable, order[:, :keep], True, axis=1)
         bits[tied] = stable
-    return Mask(bits=bits.reshape(scores.shape))
+    return bits.reshape(scores.shape)
 
 
 def apply_mask(w: np.ndarray, mask: Mask) -> np.ndarray:
@@ -141,11 +144,6 @@ def apply_mask(w: np.ndarray, mask: Mask) -> np.ndarray:
     if w.shape != mask.bits.shape:
         raise ValueError(f"shape mismatch: weights {w.shape} vs mask {mask.bits.shape}")
     return np.where(mask.bits, w, 0.0)
-
-
-def sparsity_of(mask: Mask) -> float:
-    """Fraction of dropped entries."""
-    return 1.0 - float(np.count_nonzero(mask.bits)) / mask.bits.size
 
 
 def packed_mask_sets(
@@ -196,7 +194,7 @@ def packed_mask_sets(
             per_call = max(1, MAX_SCORES_PER_CALL // w.size)
             slices = []
             for start in range(0, len(members), per_call):
-                bits = build_mask(factor * side[start:start + per_call, None, :], spec).bits
+                bits = build_mask(factor * side[start:start + per_call, None, :], spec)
                 slices.append(np.packbits(bits.reshape(len(bits), -1), axis=1))
             packed.append(np.concatenate(slices))
         for i, row in zip(members, np.concatenate(packed, axis=1)):

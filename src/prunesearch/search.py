@@ -54,8 +54,8 @@ class SearchResult:
     best_l_div: float
     evaluations_used: int
     distinct_configs_evaluated: int
-    seed: int | None = None
-    budget: int | None = None
+    seed: int | None  # None for the exhaustive oracle
+    budget: int
 
 
 def decode(genes) -> MetricConfig:
@@ -177,8 +177,7 @@ class _TrialLog:
         """
         unseen = [cfg for cfg in dict.fromkeys(configs) if cfg not in self.memo][: self.remaining]
         if unseen:
-            for cfg, fit in zip(unseen, evaluate_configs(self.ctx, unseen)):
-                self.memo[cfg] = fit.l_div
+            self.memo.update(zip(unseen, evaluate_configs(self.ctx, unseen)))
         out = [self.memo.get(cfg) for cfg in configs]
         for cfg, value in zip(configs, out):
             if value is not None:
@@ -350,7 +349,8 @@ def exhaustive_search(ctx: EvalContext) -> SearchResult:
     ascending fitness (ties stay in lexicographic code order). This is the
     ground-truth optimum the other algorithms are checked against.
 
-    All 2401 configs go through one evaluate_configs call: 49 (alpha, f1)
+    All 2401 configs go through one _TrialLog.resolve, the budget accounting
+    of every search, and so through one evaluate_configs call: 49 (alpha, f1)
     groups, each masked with one weight factor and one build_mask call per
     sub-module (more only where MAX_SCORES_PER_CALL splits a group). A pruned
     copy and its divergence are computed once per distinct mask set per
@@ -358,17 +358,8 @@ def exhaustive_search(ctx: EvalContext) -> SearchResult:
     budget counts all 2401 configs. The context keeps about params/8 bytes per
     distinct mask set for its lifetime.
     """
-    configs = all_configs()
-    values = [fit.l_div for fit in evaluate_configs(ctx, configs)]
-    ranked = sorted(zip(configs, values), key=lambda pair: pair[1])
-    trials = [(i, cfg, value) for i, (cfg, value) in enumerate(ranked)]
-    return SearchResult(
-        algorithm="exhaustive",
-        trials=trials,
-        best_config=trials[0][1],
-        best_l_div=trials[0][2],
-        evaluations_used=SPACE_SIZE,
-        distinct_configs_evaluated=SPACE_SIZE,
-        seed=None,
-        budget=SPACE_SIZE,
-    )
+    log = _TrialLog(ctx, SPACE_SIZE)
+    log.resolve(all_configs())
+    ranked = sorted(log.trials, key=lambda trial: trial[2])
+    log.trials = [(i, cfg, value) for i, (_, cfg, value) in enumerate(ranked)]
+    return log.result("exhaustive", None)

@@ -112,13 +112,13 @@ def test_criterion_2_preset_fidelity(fixture_weights, fixture_stats):
 
             wanda_direct = a * v[None, :]
             wanda_mask = build_mask(score(w_oi, stats, preset("wanda")), spec)
-            ok &= np.array_equal(wanda_mask.bits, build_mask(wanda_direct, spec).bits)
+            ok &= np.array_equal(wanda_mask, build_mask(wanda_direct, spec))
 
             ria_direct = (
                 a / a.sum(axis=1, keepdims=True) + a / a.sum(axis=0, keepdims=True)
             ) * np.sqrt(v)[None, :]
             ria_mask = build_mask(score(w_oi, stats, preset("ria")), spec)
-            ok &= np.array_equal(ria_mask.bits, build_mask(ria_direct, spec).bits)
+            ok &= np.array_equal(ria_mask, build_mask(ria_direct, spec))
             checked += 1
     _report(2, "preset fidelity", ok, f"wanda and ria masks exact on {checked} sub-modules")
 
@@ -147,7 +147,7 @@ def test_criterion_4_zero_sparsity_identity(fixture_weights, fixture_stats, fixt
         forward(pruned, seq).final_hidden.tobytes() == dense.tobytes()
         for seq, dense in zip(fixture_calib.sequences, fixture_ctx.dense_hidden)
     )
-    l_div = divergence(fixture_ctx.dense_hidden, pruned, fixture_calib).l_div
+    l_div = divergence(fixture_ctx.dense_hidden, pruned, fixture_calib)
     _report(4, "zero-sparsity identity", bitwise and l_div == 0.0,
             f"l_div == {l_div!r} exactly, forward outputs bit-identical: {bitwise}")
 
@@ -161,8 +161,8 @@ def test_criterion_5_nm_constraint_suite():
             rows = int(rng.integers(1, 12))
             cols = int(rng.integers(1, 6)) * m
             scores = rng.normal(size=(rows, cols))
-            mask = build_mask(scores, SemiStructured(n, m))
-            counts = mask.bits.reshape(rows, cols // m, m).sum(axis=2)
+            bits = build_mask(scores, SemiStructured(n, m))
+            counts = bits.reshape(rows, cols // m, m).sum(axis=2)
             ok &= bool((counts == n).all())
             groups_checked += counts.size
     _report(5, "n:m constraint suite", ok,
@@ -213,7 +213,7 @@ def test_criterion_8_monotone_invariance():
         spec = (Unstructured(0.5), Unstructured(0.25), SemiStructured(2, 4))[i % 3]
         base = build_mask(scores, spec)
         mapped = build_mask(scores**3 + 1.0, spec)
-        ok &= bool(np.array_equal(base.bits, mapped.bits))
+        ok &= bool(np.array_equal(base, mapped))
     _report(8, "monotone invariance", ok, "x -> x^3 + 1 left 1000 random masks unchanged")
 
 

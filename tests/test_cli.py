@@ -5,12 +5,15 @@ import math
 import multiprocessing
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import prunesearch
 from prunesearch import io as storage
 from prunesearch import objective
 from prunesearch.analysis import distribution_summary, emit_report
@@ -67,6 +70,9 @@ def test_bad_metric_and_sparsity_are_usage_errors(micro_files, capsys):
     assert run(["search", *inputs, "--jobs", "-3"]) == 1
     assert run(["enumerate", *inputs, "--jobs", "0"]) == 1
     capsys.readouterr()
+    # numpy would reject a negative seed too, but with a message that does not name the flag.
+    assert run(["search", *inputs, "--seed", "-1"]) == 1
+    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_population_above_the_mask_classes_exits_2(micro_files, capsys):
@@ -106,12 +112,14 @@ def test_search_with_workers_matches_one_worker_and_leaves_no_process(micro_file
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("error", [ValueError, MemoryError])
+@pytest.mark.parametrize("error", [ValueError, MemoryError, pytest.param(None, id="os._exit")])
 def test_error_in_a_worker_exits_2_with_one_line(micro_files, monkeypatch, capsys, error):
     parent, divergence = os.getpid(), objective.divergence
 
     def failing_in_worker(*args):
         if os.getpid() != parent:
+            if error is None:
+                os._exit(1)  # the worker dies without a result or an exception
             raise error("divergence failed in a worker")
         return divergence(*args)
 
@@ -119,7 +127,8 @@ def test_error_in_a_worker_exits_2_with_one_line(micro_files, monkeypatch, capsy
     monkeypatch.setattr(objective, "divergence", failing_in_worker)
     assert run(_search_argv(micro_files, micro_files["dir"] / "r.json", 2)) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "failed in a worker" in err
+    expected = "a scoring worker died" if error is None else "failed in a worker"
+    assert err.startswith("error: ") and err.count("\n") == 1 and expected in err
     assert multiprocessing.active_children() == []
     assert not (micro_files["dir"] / "r.json").exists()
 
@@ -235,6 +244,18 @@ def test_prune_and_eval_zero_divergence_for_ratio_zero(micro_files, capsys):
                 "--calib", str(micro_files["calib"])]) == 0
     assert capsys.readouterr().out.strip() == "0.0"
     assert storage.read_masks(masks)  # masks file parses
+
+
+@pytest.mark.parametrize("sparsity, mean", [("0.0", 0.0), ("0.3", 0.25), ("2:4", 0.5), ("1.0", 1.0)])
+def test_prune_prints_the_mean_sparsity_of_its_masks(micro_files, capsys, sparsity, mean):
+    # Every micro sub-module has 8 inputs: 0.3 drops floor(2.4) = 2 of them.
+    pruned, masks = micro_files["dir"] / "pruned.opsh", micro_files["dir"] / "masks.opsh"
+    capsys.readouterr()
+    assert run(["prune", "--model", str(micro_files["model"]), "--stats", str(micro_files["stats"]),
+                "--metric", "wanda", "--sparsity", sparsity, "--out", str(pruned), "--masks-out", str(masks)]) == 0
+    assert capsys.readouterr().out == f"pruned 7 sub-modules (mean sparsity {mean:.4f}) to {pruned}\n"
+    dropped = [1.0 - m.bits.mean() for m in storage.read_masks(masks).values()]
+    assert sum(dropped) / len(dropped) == mean
 
 
 def test_prune_with_custom_metric(micro_files, capsys):
@@ -382,3 +403,71 @@ def test_every_command_on_a_damaged_input_exits_with_a_code(clean_micro_files, t
         out = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
         if code == 0 and out is not None and out.suffix == ".json":
             assert all(math.isfinite(x) for x in _json_numbers(json.loads(out.read_text()))), argv[0]
+
+
+_SRC = Path(prunesearch.__file__).resolve().parents[1]
+
+
+def _cli_exit(argv) -> tuple[int, str]:
+    """Exit code and stderr of the CLI run in a fresh process; a run that does
+    not end within 60 s raises TimeoutExpired, so a hang fails the test."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(_SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", "from prunesearch.cli import main; main()", *map(str, argv)],
+                          capture_output=True, text=True, timeout=60, env=env)
+    return done.returncode, done.stderr
+
+
+def _assert_ends_in_a_code(argv, seed: int) -> None:
+    code, err = _cli_exit(argv)
+    assert code in (0, 1, 2) and "Traceback" not in err, (argv, code, err[-500:])
+    if seed < 0:
+        assert code == 1 and "argument --seed" in err, (argv, err)
+
+
+# Sizes stay small: the largest micro model is a few hundred KB. Negative
+# values of any size are safe, since nothing is allocated for them.
+_SIZE = st.one_of(st.integers(1, 16), st.integers(-3, 0), st.integers(-(2**63), -1))
+_SEED = st.one_of(st.integers(-3, 3), st.integers(-(2**63), 2**63))
+
+
+@settings(max_examples=10, deadline=None, database=None, derandomize=True)
+@given(sizes=st.tuples(*[_SIZE] * 6), seed=_SEED)
+@example(sizes=(0, 0, 0, 0, 0, 0), seed=0)
+@example(sizes=(8, 1, 2, 8, 32, 8), seed=-1)
+@example(sizes=(8, 1, 2, 8, 32, 8), seed=2**63)
+@example(sizes=(9, 1, 2, 8, 32, 8), seed=0)  # heads do not divide d_model
+def test_gen_model_integer_flags_end_in_a_code(tmp_path_factory, sizes, seed):
+    flags = ["--d-model", "--layers", "--heads", "--d-ff", "--vocab", "--max-seq"]
+    argv = ["gen-model", *[x for pair in zip(flags, sizes) for x in pair], "--seed", seed,
+            "--out", tmp_path_factory.mktemp("gen") / "m.opsh"]
+    _assert_ends_in_a_code(argv, seed)
+
+
+@settings(max_examples=10, deadline=None, database=None, derandomize=True)
+@given(sizes=st.tuples(*[_SIZE] * 3), seed=_SEED)
+@example(sizes=(0, 0, 0), seed=0)
+@example(sizes=(32, 2, 8), seed=-1)
+def test_gen_calib_integer_flags_end_in_a_code(tmp_path_factory, sizes, seed):
+    argv = ["gen-calib", "--vocab", sizes[0], "--seqs", sizes[1], "--len", sizes[2], "--seed", seed,
+            "--out", tmp_path_factory.mktemp("gen") / "c.jsonl"]
+    _assert_ends_in_a_code(argv, seed)
+
+
+@settings(max_examples=14, deadline=None, database=None, derandomize=True)
+@given(
+    budget=st.one_of(st.integers(-3, 30), st.integers(2400, 2403)),
+    pop=st.one_of(st.integers(-3, 13), st.sampled_from([441, 442])),
+    seed=_SEED,
+    jobs=st.sampled_from([1, 2]),
+)
+@example(budget=0, pop=0, seed=0, jobs=1)
+@example(budget=4, pop=8, seed=1, jobs=1)  # budget below the population
+@example(budget=2402, pop=7, seed=2, jobs=2)  # odd population, budget above the space
+@example(budget=2402, pop=12, seed=3, jobs=2)
+@example(budget=442, pop=442, seed=0, jobs=1)  # more than the 441 mask classes
+@example(budget=30, pop=8, seed=-1, jobs=2)
+def test_search_integer_flags_end_in_a_code(clean_micro_files, tmp_path_factory, budget, pop, seed, jobs):
+    argv = ["search", "--model", clean_micro_files["model"], "--calib", clean_micro_files["calib"],
+            "--sparsity", "0.5", "--budget", budget, "--pop", pop, "--seed", seed, "--jobs", jobs,
+            "--out", tmp_path_factory.mktemp("search") / "r.json"]
+    _assert_ends_in_a_code(argv, seed)

@@ -220,7 +220,7 @@ class TestMaskProperties:
                         cfg = MetricConfig(alpha, beta, f1, f2)
                         base = build_mask(score(w, SubModuleStats(v, l1, 4), cfg), spec)
                         doubled = build_mask(score(w, SubModuleStats(2.0 * v, l1, 4), cfg), spec)
-                        assert np.array_equal(base.bits, doubled.bits), str(cfg)
+                        assert np.array_equal(base, doubled), str(cfg)
 
     def test_mask_equivalence_key_is_sound(self):
         # Equal keys promise bit-identical masks on any stats and weights.
@@ -230,10 +230,10 @@ class TestMaskProperties:
         spec = Unstructured(0.5)
         by_key = {}
         for cfg in all_configs():
-            mask = build_mask(score(w, stats, cfg), spec)
+            bits = build_mask(score(w, stats, cfg), spec)
             key = mask_equivalence_key(cfg)
             if key in by_key:
-                assert np.array_equal(by_key[key], mask.bits), str(cfg)
+                assert np.array_equal(by_key[key], bits), str(cfg)
             else:
-                by_key[key] = mask.bits
+                by_key[key] = bits
         assert len(by_key) == 3 * 3 * 7 * 7

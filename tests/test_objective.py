@@ -8,7 +8,6 @@ from prunesearch.metric import SPACE_SIZE, preset
 from prunesearch.model import ModelWeights, final_hidden_batch, forward, sub_module_shapes
 from prunesearch.objective import (
     CalibrationSet,
-    Fitness,
     collect_activation_stats,
     divergence,
     evaluate_config,
@@ -82,11 +81,11 @@ def test_token_mean_sqdist_hand_example():
 def test_divergence_zero_for_identical_model(mini_weights, mini_calib, mini_stats):
     dense = final_hidden_batch(mini_weights, mini_calib)
     pruned, _ = prune_model(mini_weights, mini_stats, preset("wanda"), Unstructured(0.0))
-    assert divergence(dense, pruned, mini_calib).l_div == 0.0
+    assert divergence(dense, pruned, mini_calib) == 0.0
 
 
 def test_divergence_positive_for_real_pruning(mini_ctx):
-    assert evaluate_config(mini_ctx, preset("wanda")).l_div > 0.0
+    assert evaluate_config(mini_ctx, preset("wanda")) > 0.0
 
 
 def test_divergence_matches_plain_recomputation(mini_weights, mini_calib, mini_stats):
@@ -97,16 +96,16 @@ def test_divergence_matches_plain_recomputation(mini_weights, mini_calib, mini_s
     for ref, seq in zip(dense, mini_calib.sequences):
         h = forward(pruned, seq).final_hidden
         per_seq.append(((ref - h) ** 2).sum(axis=1).mean())
-    assert fit.l_div == pytest.approx(np.mean(per_seq), rel=1e-15)
+    assert fit == pytest.approx(np.mean(per_seq), rel=1e-15)
 
 
 def test_divergence_invariant_under_sequence_permutation(mini_weights, mini_calib, mini_stats):
     dense = final_hidden_batch(mini_weights, mini_calib)
     pruned, _ = prune_model(mini_weights, mini_stats, preset("wanda"), Unstructured(0.5))
-    base = divergence(dense, pruned, mini_calib).l_div
+    base = divergence(dense, pruned, mini_calib)
     order = [2, 0, 3, 1]
     flipped = CalibrationSet(sequences=tuple(mini_calib.sequences[i] for i in order))
-    permuted = divergence([dense[i] for i in order], pruned, flipped).l_div
+    permuted = divergence([dense[i] for i in order], pruned, flipped)
     assert permuted == pytest.approx(base, rel=1e-15)
 
 
@@ -129,14 +128,13 @@ def test_evaluate_config_deterministic(mini_weights, mini_calib):
     ctx = make_context(mini_weights, mini_calib, Unstructured(0.5))
     a = evaluate_config(ctx, preset("wanda"))
     b = evaluate_config(ctx, preset("wanda"))
-    assert a == b
-    assert a.l_div == b.l_div
+    assert type(a) is float and a == b
 
 
 def test_zero_ratio_context_gives_zero_for_every_kind(mini_weights, mini_calib):
     ctx = make_context(mini_weights, mini_calib, Unstructured(0.0))
     for name in ("magnitude", "wanda", "ria", "optishear-l2-gsm8k"):
-        assert evaluate_config(ctx, preset(name)).l_div == 0.0
+        assert evaluate_config(ctx, preset(name)) == 0.0
 
 
 def test_identical_masks_give_bit_identical_divergence(mini_ctx):
@@ -144,7 +142,7 @@ def test_identical_masks_give_bit_identical_divergence(mini_ctx):
     # so these two presets build the same masks and must tie exactly.
     a = evaluate_config(mini_ctx, preset("optishear-l2-gsm8k"))
     b = evaluate_config(mini_ctx, preset("optishear-l3-gsm8k"))
-    assert a.l_div == b.l_div
+    assert a == b
 
 
 @pytest.mark.parametrize("spec", [Unstructured(0.5), SemiStructured(2, 4)], ids=["0.5", "2:4"])
@@ -154,7 +152,7 @@ def test_exhaustive_runs_one_divergence_per_distinct_mask_set(mini_weights, mini
     mask_sets = set()
     for cfg in all_configs():
         pruned, masks = prune_model(ctx.weights, ctx.stats, cfg, spec)
-        reference[cfg] = divergence(ctx.dense_hidden, pruned, ctx.calib).l_div
+        reference[cfg] = divergence(ctx.dense_hidden, pruned, ctx.calib)
         mask_sets.add(tuple(m.bits.tobytes() for m in masks.values()))
 
     calls = []
@@ -195,7 +193,7 @@ def test_evaluate_configs_keeps_input_order_and_duplicates(mini_weights, mini_ca
     kinds = [preset("ria"), preset("magnitude"), preset("wanda"), preset("ria"), preset("magnitude")]
     grouped = evaluate_configs(make_context(mini_weights, mini_calib, Unstructured(0.5)), kinds)
     one_by_one = make_context(mini_weights, mini_calib, Unstructured(0.5))
-    assert [fit.l_div for fit in grouped] == [evaluate_config(one_by_one, kind).l_div for kind in kinds]
+    assert grouped == [evaluate_config(one_by_one, kind) for kind in kinds]
     assert grouped[0] is grouped[3] and grouped[1] is grouped[4]
     assert evaluate_configs(one_by_one, []) == []
 
@@ -203,19 +201,20 @@ def test_evaluate_configs_keeps_input_order_and_duplicates(mini_weights, mini_ca
 @pytest.mark.parametrize("spec", [Unstructured(0.5), SemiStructured(2, 4)], ids=["0.5", "2:4"])
 def test_worker_scores_are_bit_identical_to_in_process(mini_weights, mini_calib, spec, monkeypatch):
     # The first 300 configs repeat mask sets (rank-neutral alphas and betas)
-    # and hold more new mask sets than one batch; the tail repeats kinds.
+    # and hold more than 32 new mask sets, all scored in one batch; the tail
+    # repeats kinds.
     kinds = all_configs()[:300]
     kinds += kinds[:40]
     local = make_context(mini_weights, mini_calib, spec)
     expected = evaluate_configs(local, kinds)
-    assert objective.SCORE_BATCH < len(local.fitness_by_masks) < len(set(kinds))
+    assert 32 < len(local.fitness_by_masks) < len(set(kinds))
 
     monkeypatch.setattr(objective, "_usable_cpus", lambda: 2)
     with scoring_workers(make_context(mini_weights, mini_calib, spec), jobs=2) as pooled:
         got = evaluate_configs(pooled, kinds)
         assert len(multiprocessing.active_children()) == 2
     assert multiprocessing.active_children() == []
-    assert [fit.l_div for fit in got] == [fit.l_div for fit in expected]
+    assert got == expected
     assert list(pooled.fitness_by_masks.items()) == list(local.fitness_by_masks.items())
 
 
@@ -229,11 +228,11 @@ def test_worker_count_is_capped_by_the_usable_cpus(jobs, cpus, expected):
     assert worker_count(jobs, cpus) == expected
 
 
-def test_fitness_rejects_non_finite():
-    with pytest.raises(ValueError):
-        Fitness(l_div=float("nan"))
-    with pytest.raises(ValueError):
-        Fitness(l_div=-0.5)
+def test_divergence_rejects_a_non_finite_fitness(mini_weights, mini_calib):
+    # A NaN weight in the final norm makes every pruned hidden state NaN.
+    tensors = dict(mini_weights.tensors, final_norm=np.full_like(mini_weights.tensors["final_norm"], np.nan))
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        divergence(final_hidden_batch(mini_weights, mini_calib), ModelWeights(mini_weights.config, tensors), mini_calib)
 
 
 def test_zero_weight_model_still_produces_finite_stats(mini_weights, mini_calib):

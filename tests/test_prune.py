@@ -20,7 +20,6 @@ from prunesearch.prune import (
     packed_mask_sets,
     parse_sparsity,
     prune_model,
-    sparsity_of,
     unpack_mask_set,
 )
 from prunesearch.search import all_configs
@@ -57,23 +56,23 @@ def test_parse_sparsity():
 
 
 def test_build_mask_tie_keeps_lower_column():
-    mask = build_mask(np.array([[2.0, 2.0], [0.0, 3.0]]), Unstructured(0.5))
-    assert np.array_equal(mask.bits, [[True, False], [False, True]])
+    bits = build_mask(np.array([[2.0, 2.0], [0.0, 3.0]]), Unstructured(0.5))
+    assert np.array_equal(bits, [[True, False], [False, True]])
 
 
 def test_build_mask_2_of_4_hand_example():
-    mask = build_mask(np.array([[5.0, 1.0, 4.0, 2.0]]), SemiStructured(2, 4))
-    assert np.array_equal(mask.bits, [[True, False, True, False]])
+    bits = build_mask(np.array([[5.0, 1.0, 4.0, 2.0]]), SemiStructured(2, 4))
+    assert np.array_equal(bits, [[True, False, True, False]])
 
 
 def test_build_mask_ratio_zero_keeps_all():
     scores = np.arange(12.0).reshape(3, 4)
-    assert build_mask(scores, Unstructured(0.0)).bits.all()
+    assert build_mask(scores, Unstructured(0.0)).all()
 
 
 def test_build_mask_ratio_one_drops_all():
     scores = np.arange(12.0).reshape(3, 4)
-    assert not build_mask(scores, Unstructured(1.0)).bits.any()
+    assert not build_mask(scores, Unstructured(1.0)).any()
 
 
 def test_build_mask_group_misalignment():
@@ -85,8 +84,8 @@ def test_nm_groups_keep_exactly_n():
     rng = np.random.default_rng(0)
     for n, m in ((2, 4), (4, 8)):
         scores = rng.normal(size=(16, 32))
-        mask = build_mask(scores, SemiStructured(n, m))
-        groups = mask.bits.reshape(16, 32 // m, m)
+        bits = build_mask(scores, SemiStructured(n, m))
+        groups = bits.reshape(16, 32 // m, m)
         assert (groups.sum(axis=2) == n).all()
 
 
@@ -95,8 +94,8 @@ def test_unstructured_row_counts_exact():
     # 0.29 * 100 evaluates to 28.999999999999996; it snaps to 29 before the floor.
     for ratio, cols, dropped in ((0.25, 10, 2), (0.5, 10, 5), (0.75, 10, 7), (0.3, 10, 3), (0.29, 100, 29)):
         scores = rng.normal(size=(8, cols))
-        mask = build_mask(scores, Unstructured(ratio))
-        assert (mask.bits.sum(axis=1) == cols - dropped).all()
+        bits = build_mask(scores, Unstructured(ratio))
+        assert (bits.sum(axis=1) == cols - dropped).all()
 
 
 def _two_branch_build_mask(scores, spec):
@@ -140,9 +139,9 @@ def test_build_mask_matches_two_branch_reference(spec, cols):
     for levels in (2, 3, 1000):
         for rows in (1, 7, 16):
             scores = rng.integers(0, levels, size=(rows, cols)).astype(np.float64)
-            mask = build_mask(scores, spec)
-            assert mask.bits.tobytes() == _two_branch_build_mask(scores, spec).tobytes()
-            assert mask.bits.shape == (rows, cols)
+            bits = build_mask(scores, spec)
+            assert bits.tobytes() == _two_branch_build_mask(scores, spec).tobytes()
+            assert bits.shape == (rows, cols)
 
 
 @pytest.mark.parametrize(
@@ -157,9 +156,9 @@ def test_build_mask_on_a_stack_equals_each_slice(spec):
         for shape in ((5, 7, 40), (2, 3, 1, 40)):
             scores = rng.integers(0, levels, size=shape).astype(np.float64)
             stack = build_mask(scores, spec)
-            assert stack.bits.shape == shape
+            assert stack.shape == shape
             for index in np.ndindex(shape[:-2]):
-                assert stack.bits[index].tobytes() == build_mask(scores[index], spec).bits.tobytes()
+                assert stack[index].tobytes() == build_mask(scores[index], spec).tobytes()
 
 
 def _stable_sort_build_mask(scores, spec):
@@ -174,8 +173,8 @@ def _stable_sort_build_mask(scores, spec):
 
 
 def _assert_matches_stable_sort(scores, spec):
-    bits = build_mask(scores, spec).bits
-    assert bits.shape == scores.shape and bits.dtype == np.bool_
+    bits = build_mask(scores, spec)
+    assert type(bits) is np.ndarray and bits.shape == scores.shape and bits.dtype == np.bool_
     assert bits.tobytes() == _stable_sort_build_mask(scores, spec).tobytes()
 
 
@@ -248,7 +247,7 @@ def test_build_mask_one_call_mixes_tied_and_untied_rows(spec):
     tied = _rows_tied_at_the_boundary(scores, spec)
     assert tied.any() and not tied.all()
     _assert_matches_stable_sort(scores, spec)
-    bits = build_mask(scores, spec).bits
+    bits = build_mask(scores, spec)
     width, keep = spec.groups(16)
     assert (bits.reshape(-1, width).sum(axis=1) == keep).all()
 
@@ -281,7 +280,7 @@ def test_build_mask_leaves_scores_untouched_and_shares_no_memory(spec):
     for scores in (untied, tied, untied[:, ::2, :], np.asfortranarray(tied)):
         before = scores.tobytes()
         scores.flags.writeable = False
-        bits = build_mask(scores, spec).bits
+        bits = build_mask(scores, spec)
         assert scores.tobytes() == before
         assert not np.shares_memory(bits, scores)
         assert bits.flags.writeable
@@ -296,7 +295,7 @@ def test_mask_rejects_bits_below_two_dimensions():
 
 def _per_config_masks(weights, stats, kind, spec):
     return {
-        key: build_mask(score(weights.tensors[key].T, stats[key], kind), spec).bits
+        key: build_mask(score(weights.tensors[key].T, stats[key], kind), spec)
         for key in sub_module_shapes(weights.config)
     }
 
@@ -360,7 +359,7 @@ def test_mask_depends_only_on_order():
         scores = rng.normal(size=(6, 8))
         base = build_mask(scores, spec)
         mapped = build_mask(scores**3 + 1.0, spec)
-        assert np.array_equal(base.bits, mapped.bits)
+        assert np.array_equal(base, mapped)
 
 
 def test_apply_mask():
@@ -376,19 +375,13 @@ def test_apply_mask_shape_mismatch():
         apply_mask(np.ones((2, 3)), Mask(bits=np.ones((2, 2), dtype=bool)))
 
 
-def test_sparsity_of():
-    assert sparsity_of(Mask(bits=np.ones((2, 2), dtype=bool))) == 0.0
-    assert sparsity_of(Mask(bits=np.zeros((2, 2), dtype=bool))) == 1.0
-    assert sparsity_of(Mask(bits=np.array([[True, False], [False, True]]))) == 0.5
-
-
 def test_prune_model_ratio_zero_is_identity(mini_weights, mini_stats, mini_calib):
     pruned, masks = prune_model(mini_weights, mini_stats, preset("wanda"), Unstructured(0.0))
     for seq in mini_calib.sequences:
         a = forward(mini_weights, seq).final_hidden
         b = forward(pruned, seq).final_hidden
         assert a.tobytes() == b.tobytes()
-    assert all(sparsity_of(m) == 0.0 for m in masks.values())
+    assert all(m.bits.all() for m in masks.values())
 
 
 def test_prune_model_structure(mini_weights, mini_stats):
@@ -434,6 +427,6 @@ def test_remasking_pruned_weights_is_stable():
     )
     for name in ("magnitude", "wanda", "ria", "optishear-l2-gsm8k"):
         first = build_mask(score(w, stats, preset(name)), Unstructured(0.5))
-        pruned = apply_mask(w, first)
+        pruned = apply_mask(w, Mask(bits=first))
         second = build_mask(np.abs(pruned), Unstructured(0.5))
-        assert np.array_equal(first.bits, second.bits), name
+        assert np.array_equal(first, second), name
