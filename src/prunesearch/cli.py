@@ -13,8 +13,8 @@ from pathlib import Path
 from . import io as storage
 from .analysis import alignment_discrepancy, distribution_summary, emit_report
 from .metric import PRESET_NAMES, MetricKind, parse_kind
-from .model import ModelConfig, final_hidden_batch, init_model
-from .objective import collect_activation_stats, divergence, make_context, scoring_workers, synthetic_calibration
+from .model import ModelConfig, init_model
+from .objective import collect_activation_stats, make_context, model_divergence, scoring_workers, synthetic_calibration
 from .prune import SparsitySpec, parse_sparsity, prune_model
 from .search import SearchParams, exhaustive_search, nsga2_search, random_search
 
@@ -203,7 +203,7 @@ def _cmd_eval(args) -> int:
     dense = storage.read_model(args.dense)
     pruned = storage.read_model(args.pruned)
     calib = storage.read_calib(args.calib)
-    print(divergence(final_hidden_batch(dense, calib), pruned, calib))
+    print(model_divergence(dense, pruned, calib))
     return 0
 
 

@@ -165,6 +165,19 @@ def _causal_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int)
     return mixed.transpose(1, 0, 2).reshape(t, d)
 
 
+def token_ids(config: ModelConfig, tokens) -> np.ndarray:
+    """tokens as a 1-D int64 array; ValueError unless it is non-empty, at most
+    max_seq_len long and every id is in [0, vocab_size)."""
+    ids = np.asarray(tokens, dtype=np.int64)
+    if ids.ndim != 1 or ids.size == 0:
+        raise ValueError("tokens must be a non-empty 1-D sequence of ids")
+    if ids.size > config.max_seq_len:
+        raise ValueError(f"sequence length {ids.size} exceeds max_seq_len {config.max_seq_len}")
+    if (ids < 0).any() or (ids >= config.vocab_size).any():
+        raise ValueError(f"token id out of range [0, {config.vocab_size})")
+    return ids
+
+
 def forward(weights: ModelWeights, tokens, capture: bool = False) -> ForwardTrace:
     """Run one sequence through the model.
 
@@ -173,14 +186,7 @@ def forward(weights: ModelWeights, tokens, capture: bool = False) -> ForwardTrac
     do gate and up). Capturing does not change the computation.
     """
     cfg = weights.config
-    ids = np.asarray(tokens, dtype=np.int64)
-    if ids.ndim != 1 or ids.size == 0:
-        raise ValueError("tokens must be a non-empty 1-D sequence of ids")
-    if ids.size > cfg.max_seq_len:
-        raise ValueError(f"sequence length {ids.size} exceeds max_seq_len {cfg.max_seq_len}")
-    if (ids < 0).any() or (ids >= cfg.vocab_size).any():
-        raise ValueError(f"token id out of range [0, {cfg.vocab_size})")
-
+    ids = token_ids(cfg, tokens)
     t = ids.size
     tensors = weights.tensors
     x = tensors["token_embedding"][ids] + tensors["position_embedding"][:t]

@@ -8,20 +8,25 @@ keeps values comparable across calibration sizes.
 
 import contextlib
 import os
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .metric import MetricKind, SubModuleStats
-from .model import ModelWeights, final_hidden_batch, forward
+from .model import ModelWeights, final_hidden_batch, forward, sub_module_shapes, token_ids
 from .prune import SparsitySpec, apply_masks, packed_mask_sets, unpack_mask_set
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor
 
 ActivationStats = dict[str, SubModuleStats]
+
+# A calibration pass of fewer multiply-adds (calibration tokens x prunable
+# weights) runs in this process: forking a pool costs about 30 ms, more than
+# the whole stats pass of the 2-layer fixture (about 1e7, 11 ms).
+POOL_MIN_MACS = 2**30
 
 
 @dataclass(frozen=True)
@@ -54,21 +59,24 @@ def collect_activation_stats(weights: ModelWeights, calib: CalibrationSet) -> Ac
     """
     sumsq: dict[str, np.ndarray] = {}
     l1: dict[str, np.ndarray] = {}
-    tokens = 0
-    for seq in calib.sequences:
-        trace = forward(weights, seq, capture=True)
-        tokens += len(seq)
-        for key, block in trace.captured_inputs.items():
+    for partials in _per_sequence(_stats_partials, calib, weights):
+        for key, (sq, ab) in partials.items():
             if key in sumsq:
-                sumsq[key] += (block * block).sum(axis=0)
-                l1[key] += np.abs(block).sum(axis=0)
+                sumsq[key] += sq
+                l1[key] += ab
             else:
-                sumsq[key] = (block * block).sum(axis=0)
-                l1[key] = np.abs(block).sum(axis=0)
+                sumsq[key], l1[key] = sq, ab
+    tokens = sum(map(len, calib.sequences))
     return {
         key: SubModuleStats(v=np.sqrt(sumsq[key]), l1=l1[key], token_count=tokens)
         for key in sumsq
     }
+
+
+def _stats_partials(weights: ModelWeights, seq: tuple[int, ...]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Per sub-module, the sum of squares and the abs sum of its inputs over one sequence."""
+    captured = forward(weights, seq, capture=True).captured_inputs
+    return {key: ((block * block).sum(axis=0), np.abs(block).sum(axis=0)) for key, block in captured.items()}
 
 
 def token_mean_sqdist(a: np.ndarray, b: np.ndarray) -> float:
@@ -87,13 +95,34 @@ def divergence(dense_hidden: list[np.ndarray], pruned: ModelWeights, calib: Cali
         raise ValueError(
             f"cache holds {len(dense_hidden)} sequences, calibration has {len(calib.sequences)}"
         )
-    total = 0.0
+    terms = []
     for ref, seq in zip(dense_hidden, calib.sequences):
         h = forward(pruned, seq).final_hidden
         if h.shape != ref.shape:
             raise ValueError(f"cached hidden shape {ref.shape} does not match forward {h.shape}")
-        total += token_mean_sqdist(ref, h)
-    l_div = total / len(calib.sequences)
+        terms.append(token_mean_sqdist(ref, h))
+    return _mean_fitness(terms)
+
+
+def model_divergence(dense: ModelWeights, pruned: ModelWeights, calib: CalibrationSet) -> float:
+    """divergence(final_hidden_batch(dense, calib), pruned, calib), with each
+    sequence run through both models in one task. A pruned model whose config
+    differs from the dense model's raises before any forward."""
+    if pruned.config != dense.config:
+        raise ValueError(f"pruned model config {pruned.config} differs from the dense model's {dense.config}")
+    return _mean_fitness(list(_per_sequence(_sequence_sqdist, calib, dense, pruned)))
+
+
+def _sequence_sqdist(dense: ModelWeights, pruned: ModelWeights, seq: tuple[int, ...]) -> float:
+    return token_mean_sqdist(forward(dense, seq).final_hidden, forward(pruned, seq).final_hidden)
+
+
+def _mean_fitness(terms: list[float]) -> float:
+    """The mean of the terms, summed in order; one not finite and nonnegative raises."""
+    total = 0.0
+    for term in terms:
+        total += term
+    l_div = total / len(terms)
     if not np.isfinite(l_div) or l_div < 0.0:
         raise ValueError("divergence must be finite and nonnegative")
     return l_div
@@ -144,51 +173,79 @@ def _usable_cpus() -> int:
 
 
 @contextlib.contextmanager
-def scoring_workers(ctx: EvalContext, jobs: int) -> Iterator[EvalContext]:
-    """ctx, with its new mask sets scored on worker_count(jobs, usable CPUs)
-    processes while the block runs.
-
-    With one worker ctx itself is yielded: nothing is forked and
-    multiprocessing is not imported. Otherwise the yielded context shares
-    ctx's inputs and fitness cache, and a process pool of the `fork` start
-    method scores the new mask sets of each evaluate_configs call. The workers
-    inherit ctx when they are forked (at the first call with more than one new
-    mask set), so it is never pickled: each task is one packed mask set, each
-    result one float. The pool forks all its workers before it starts a thread
-    of its own, so a caller that runs one thread, as the CLI does, forks a
-    one-thread process. A worker's exception is raised again in the caller, a
-    worker that dies is an OSError, and the pool is shut down and its
-    processes joined when the block exits.
+def _fork_pool(role: str, workers: int, task) -> Iterator["Executor"]:
+    """A pool of `workers` processes of the `fork` start method, whose _run_task
+    calls `task`. The workers inherit `task` when they are forked, all at the
+    first map and before the pool starts a thread, so a one-thread caller (the
+    CLI) forks one-thread processes and only arguments and results are
+    pickled. A worker's exception is raised again in the caller, a worker that
+    dies is an OSError naming `role`, and the processes are joined on exit.
     """
-    workers = worker_count(jobs, _usable_cpus())
-    if workers == 1:
-        yield ctx
-        return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     pool = ProcessPoolExecutor(
         workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_worker, initargs=(ctx,),
+        initializer=_init_worker, initargs=(task,),
     )
     with pool:
         try:
-            yield replace(ctx, workers=pool)
+            yield pool
         except BrokenProcessPool as exc:
-            raise OSError(f"a scoring worker died: {exc}") from None
+            raise OSError(f"a {role} worker died: {exc}") from None
 
 
-_worker_ctx: EvalContext | None = None  # set in each worker process by _init_worker
+_worker_task = None  # the task of a _fork_pool, set in each of its workers by _init_worker
 
 
-def _init_worker(ctx: EvalContext) -> None:
-    global _worker_ctx
-    _worker_ctx = ctx
+def _init_worker(task) -> None:
+    global _worker_task
+    _worker_task = task
 
 
-def _score_in_worker(packed: bytes) -> float:
-    return _score(_worker_ctx, packed)
+def _run_task(arg):
+    return _worker_task(arg)
+
+
+def _per_sequence(task, calib: CalibrationSet, *models: ModelWeights) -> Iterable:
+    """task(*models, seq) for each calibration sequence, in input order.
+
+    Every sequence is checked against the first model's config at once. A pass
+    of at least POOL_MIN_MACS multiply-adds maps the sequences, longest first,
+    over a _fork_pool of the usable CPUs (at most one per sequence); any other
+    runs lazily in this process.
+    """
+    sequences = calib.sequences
+    for seq in sequences:
+        token_ids(models[0].config, seq)
+    macs = sum(map(len, sequences)) * sum(i * o for i, o in sub_module_shapes(models[0].config).values())
+    workers = min(_usable_cpus(), len(sequences))
+    if macs < POOL_MIN_MACS or workers == 1:
+        return (task(*models, seq) for seq in sequences)
+    order = sorted(range(len(sequences)), key=lambda i: -len(sequences[i]))
+    with _fork_pool("calibration", workers, lambda i: task(*models, sequences[i])) as pool:
+        done = dict(zip(order, pool.map(_run_task, order)))
+    return [done[i] for i in range(len(sequences))]
+
+
+@contextlib.contextmanager
+def scoring_workers(ctx: EvalContext, jobs: int) -> Iterator[EvalContext]:
+    """ctx, with its new mask sets scored on worker_count(jobs, usable CPUs)
+    processes while the block runs.
+
+    With one worker ctx itself is yielded: nothing is forked and
+    multiprocessing is not imported. Otherwise the yielded context shares
+    ctx's inputs and fitness cache, and a _fork_pool, whose workers inherit
+    ctx, scores the new mask sets of each evaluate_configs call: each task is
+    one packed mask set, each result one float.
+    """
+    workers = worker_count(jobs, _usable_cpus())
+    if workers == 1:
+        yield ctx
+        return
+    with _fork_pool("scoring", workers, lambda packed: _score(ctx, packed)) as pool:
+        yield replace(ctx, workers=pool)
 
 
 def _score(ctx: EvalContext, packed: bytes) -> float:
@@ -201,7 +258,7 @@ def _score_batch(ctx: EvalContext, batch: list[bytes]) -> list[float]:
     """The fitness of each new mask set of a batch, in batch order."""
     if ctx.workers is None or len(batch) == 1:
         return [_score(ctx, packed) for packed in batch]
-    return list(ctx.workers.map(_score_in_worker, batch))
+    return list(ctx.workers.map(_run_task, batch))
 
 
 def evaluate_configs(ctx: EvalContext, kinds: Sequence[MetricKind]) -> list[float]:

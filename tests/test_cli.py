@@ -148,6 +148,123 @@ def test_enumerate_scores_in_its_own_process_for_any_jobs(micro_files, monkeypat
     capsys.readouterr()
 
 
+def _force_calibration_pool(monkeypatch):
+    monkeypatch.setattr(objective, "POOL_MIN_MACS", 0)
+    monkeypatch.setattr(objective, "_usable_cpus", lambda: 2)
+
+
+def _stats_and_eval(files, tag):
+    """Run stats, and eval of the model against its pruned copy; return the stats path and both exit codes."""
+    out = files["dir"] / f"stats-{tag}.json"
+    codes = [
+        run(["stats", "--model", str(files["model"]), "--calib", str(files["calib"]), "--out", str(out)]),
+        run(["eval", "--dense", str(files["model"]), "--pruned", str(files["pruned"]), "--calib", str(files["calib"])]),
+    ]
+    return out, codes
+
+
+@pytest.fixture()
+def ragged_files(micro_files):
+    calib = objective.CalibrationSet(((3, 1, 4), tuple(range(8)), (31,), (2, 7, 1, 8, 2), tuple(range(31, 23, -1)), (5, 9)))
+    storage.write_calib(micro_files["calib"], calib)
+    pruned = micro_files["dir"] / "pruned.opsh"
+    assert run(["prune", "--model", str(micro_files["model"]), "--stats", str(micro_files["stats"]),
+                "--metric", "ria", "--sparsity", "0.5", "--out", str(pruned)]) == 0
+    return {**micro_files, "pruned": pruned}
+
+
+def test_calibration_pool_is_byte_identical_to_the_serial_pass(ragged_files, monkeypatch, capsys):
+    serial_stats, codes = _stats_and_eval(ragged_files, "serial")
+    assert codes == [0, 0]
+    serial_out = capsys.readouterr().out
+    _force_calibration_pool(monkeypatch)
+    pools, fork_pool = [], objective._fork_pool
+    monkeypatch.setattr(objective, "_fork_pool", lambda role, *args: pools.append(role) or fork_pool(role, *args))
+    pooled_stats, codes = _stats_and_eval(ragged_files, "pooled")
+    assert codes == [0, 0] and pools == ["calibration", "calibration"]
+    assert capsys.readouterr().out == serial_out.replace("stats-serial", "stats-pooled")
+    assert pooled_stats.read_bytes() == serial_stats.read_bytes()
+    assert multiprocessing.active_children() == []
+
+
+def test_calibration_below_the_threshold_stays_in_process(tmp_path):
+    # The acceptance fixture (2 layers, d_model 32, 8 x 64 tokens) holds about
+    # 1e7 multiply-adds: stats and eval fork nothing and never import
+    # multiprocessing, however many CPUs are usable.
+    script = """if True:
+        import sys
+        from prunesearch import objective
+        from prunesearch.cli import run
+        objective._usable_cpus = lambda: 2
+        for argv in (["gen-model", "--out", "m.opsh"], ["gen-calib", "--out", "c.jsonl"],
+                     ["stats", "--model", "m.opsh", "--calib", "c.jsonl", "--out", "s.json"],
+                     ["prune", "--model", "m.opsh", "--stats", "s.json", "--metric", "ria", "--sparsity", "0.5",
+                      "--out", "p.opsh"],
+                     ["eval", "--dense", "m.opsh", "--pruned", "p.opsh", "--calib", "c.jsonl"]):
+            assert run(argv) == 0, argv
+        assert "multiprocessing" not in sys.modules
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(Path(prunesearch.__file__).parent.parent),
+                                                                     os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_calibration_worker_that_dies_exits_2_with_one_line(ragged_files, monkeypatch, capsys):
+    parent, forward = os.getpid(), objective.forward
+
+    def dying_in_worker(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(1)
+        return forward(*args, **kwargs)
+
+    _force_calibration_pool(monkeypatch)
+    monkeypatch.setattr(objective, "forward", dying_in_worker)
+    capsys.readouterr()
+    out, codes = _stats_and_eval(ragged_files, "dead")
+    assert codes == [2, 2]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: a calibration worker died") for line in err)
+    assert multiprocessing.active_children() == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tokens, diagnostic", [((3, 32, 1), "token id out of range [0, 32)"),
+                                               (tuple(range(9)), "sequence length 9 exceeds max_seq_len 8")])
+def test_calibration_is_checked_before_any_fork(ragged_files, monkeypatch, capsys, tokens, diagnostic):
+    bad = objective.CalibrationSet((*storage.read_calib(ragged_files["calib"]).sequences, tokens))
+    storage.write_calib(ragged_files["calib"], bad)
+    capsys.readouterr()
+    assert _stats_and_eval(ragged_files, "serial")[1] == [2, 2]
+    serial_err = capsys.readouterr().err
+    assert serial_err == f"error: {diagnostic}\n" * 2
+
+    def no_fork():
+        raise AssertionError("a calibration pass forked before its inputs were checked")
+
+    _force_calibration_pool(monkeypatch)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert _stats_and_eval(ragged_files, "pooled")[1] == [2, 2]
+    assert capsys.readouterr().err == serial_err
+
+
+@pytest.mark.parametrize("flags", [["--layers", "3"], ["--heads", "8"]], ids=["3-layers", "8-heads"])
+def test_eval_rejects_a_pruned_model_of_another_config(tmp_path, monkeypatch, capsys, flags):
+    dense, other, calib = tmp_path / "dense.opsh", tmp_path / "other.opsh", tmp_path / "calib.jsonl"
+    assert run(["gen-model", "--out", str(dense)]) == 0
+    assert run(["gen-model", *flags, "--out", str(other)]) == 0
+    assert run(["gen-calib", "--out", str(calib)]) == 0
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("eval ran a forward on mismatched models")
+
+    monkeypatch.setattr(objective, "forward", no_forward)
+    capsys.readouterr()
+    assert run(["eval", "--dense", str(dense), "--pruned", str(other), "--calib", str(calib)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: pruned model config") and err.count("\n") == 1
+
+
 def test_missing_file_is_data_error(tmp_path, capsys):
     code = run(["stats", "--model", str(tmp_path / "nope.opsh"), "--calib", str(tmp_path / "c"), "--out", str(tmp_path / "s")])
     assert code == 2

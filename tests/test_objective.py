@@ -13,6 +13,7 @@ from prunesearch.objective import (
     evaluate_config,
     evaluate_configs,
     make_context,
+    model_divergence,
     scoring_workers,
     synthetic_calibration,
     token_mean_sqdist,
@@ -226,6 +227,12 @@ def test_one_worker_forks_nothing(mini_ctx):
 @pytest.mark.parametrize("jobs, cpus, expected", [(1, 64, 1), (4, 2, 2), (2, 2, 2), (3, 8, 3), (10**9, 8, 8), (5, 1, 1)])
 def test_worker_count_is_capped_by_the_usable_cpus(jobs, cpus, expected):
     assert worker_count(jobs, cpus) == expected
+
+
+def test_model_divergence_equals_divergence_on_the_dense_cache(mini_weights, mini_stats, mini_calib):
+    pruned, _ = prune_model(mini_weights, mini_stats, preset("ria"), Unstructured(0.5))
+    expected = divergence(final_hidden_batch(mini_weights, mini_calib), pruned, mini_calib)
+    assert model_divergence(mini_weights, pruned, mini_calib) == expected > 0.0
 
 
 def test_divergence_rejects_a_non_finite_fitness(mini_weights, mini_calib):
