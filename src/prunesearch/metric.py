@@ -11,6 +11,7 @@ each side give 7^4 = 2401 configs. All denominators are guarded with a 1e-12
 floor so every config yields finite scores.
 """
 
+import itertools
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -21,6 +22,8 @@ EPS = 1e-12
 N_COEFFS = 7
 N_TRANSFORMS = 7
 SPACE_SIZE = N_COEFFS * N_COEFFS * N_TRANSFORMS * N_TRANSFORMS  # 2401
+# The codes (alpha, beta, f1, f2) of every config, in lexicographic order.
+ALL_CODES = tuple(itertools.product(range(N_COEFFS), range(N_COEFFS), range(N_TRANSFORMS), range(N_TRANSFORMS)))
 
 
 class Coeff(IntEnum):
@@ -44,18 +47,18 @@ class Transform(IntEnum):
 
 
 def _parse_field(text: str, enum_cls):
+    # ASCII only, and a code is plain digits: int() would also read "0_0" and
+    # other scripts' digits ("٢"), and str.upper() maps "ı" to "I".
     token = text.strip().lower()
-    try:
+    if text.isascii() and token.isdigit():
         code = int(token)
-    except ValueError:
-        try:
-            return enum_cls[token.upper()]
-        except KeyError:
-            names = ", ".join(member.name.lower() for member in enum_cls)
-            raise ValueError(f"unknown {enum_cls.__name__.lower()} {text!r}; expected one of {names} or a code 0..6") from None
-    if not 0 <= code < 7:
+        if code < 7:
+            return enum_cls(code)
         raise ValueError(f"{enum_cls.__name__.lower()} code {code} out of range 0..6")
-    return enum_cls(code)
+    if text.isascii() and token.upper() in enum_cls.__members__:
+        return enum_cls[token.upper()]
+    names = ", ".join(member.name.lower() for member in enum_cls)
+    raise ValueError(f"unknown {enum_cls.__name__.lower()} {text!r}; expected one of {names} or a code 0..6")
 
 
 @dataclass(frozen=True)
@@ -286,24 +289,18 @@ _ALPHA_RANK_NEUTRAL = frozenset(
 _BETA_RANK_NEUTRAL = frozenset(
     {Coeff.UNIFORM, Coeff.GLOBAL_SUM, Coeff.FROBENIUS, Coeff.GLOBAL_MEAN, Coeff.COL_WISE}
 )
-# Distinct mask_equivalence_key values: each side's rank-neutral coefficients
-# share one key, the other coefficients and both transformations keep theirs.
-MASK_CLASS_COUNT = (
-    (N_COEFFS - len(_ALPHA_RANK_NEUTRAL) + 1)
-    * (N_COEFFS - len(_BETA_RANK_NEUTRAL) + 1)
-    * N_TRANSFORMS
-    * N_TRANSFORMS
-)  # 441
 
 
-def mask_equivalence_key(config: MetricConfig) -> tuple:
-    """Canonical key identifying configs that provably build identical masks.
+def mask_equivalence_key(codes: tuple[int, int, int, int]) -> tuple:
+    """Canonical key of config codes (alpha, beta, f1, f2) that provably build identical masks.
 
     On the weight side, global scalings and per-row normalization leave every
     row's ranking untouched; on the activation side, global scalings do. Only
     feature-dependent coefficients (column-wise or relative weights, row-wise
     or relative activations) and the transformations can change rankings.
     """
-    alpha = -1 if config.alpha in _ALPHA_RANK_NEUTRAL else int(config.alpha)
-    beta = -1 if config.beta in _BETA_RANK_NEUTRAL else int(config.beta)
-    return (alpha, beta, int(config.f1), int(config.f2))
+    alpha, beta, f1, f2 = codes
+    return (-1 if alpha in _ALPHA_RANK_NEUTRAL else alpha, -1 if beta in _BETA_RANK_NEUTRAL else beta, f1, f2)
+
+
+MASK_CLASS_COUNT = len({mask_equivalence_key(codes) for codes in ALL_CODES})  # 441

@@ -61,11 +61,9 @@ def collect_activation_stats(weights: ModelWeights, calib: CalibrationSet) -> Ac
     l1: dict[str, np.ndarray] = {}
     for partials in _per_sequence(_stats_partials, calib, weights):
         for key, (sq, ab) in partials.items():
-            if key in sumsq:
-                sumsq[key] += sq
-                l1[key] += ab
-            else:
-                sumsq[key], l1[key] = sq, ab
+            # Not in place: keys that share a captured block share its partials.
+            sumsq[key] = sumsq.get(key, 0.0) + sq
+            l1[key] = l1.get(key, 0.0) + ab
     tokens = sum(map(len, calib.sequences))
     return {
         key: SubModuleStats(v=np.sqrt(sumsq[key]), l1=l1[key], token_count=tokens)
@@ -74,9 +72,12 @@ def collect_activation_stats(weights: ModelWeights, calib: CalibrationSet) -> Ac
 
 
 def _stats_partials(weights: ModelWeights, seq: tuple[int, ...]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Per sub-module, the sum of squares and the abs sum of its inputs over one sequence."""
+    """Per sub-module, the sum of squares and the abs sum of its inputs over one
+    sequence, reduced once per block: q, k and v share one, as do gate and up."""
     captured = forward(weights, seq, capture=True).captured_inputs
-    return {key: ((block * block).sum(axis=0), np.abs(block).sum(axis=0)) for key, block in captured.items()}
+    blocks = {id(block): block for block in captured.values()}
+    partials = {i: ((block * block).sum(axis=0), np.abs(block).sum(axis=0)) for i, block in blocks.items()}
+    return {key: partials[id(block)] for key, block in captured.items()}
 
 
 def token_mean_sqdist(a: np.ndarray, b: np.ndarray) -> float:

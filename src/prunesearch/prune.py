@@ -69,6 +69,8 @@ SparsitySpec = Unstructured | SemiStructured
 
 def parse_sparsity(text: str) -> SparsitySpec:
     """Parse "0.5" (unstructured ratio) or "2:4" (n:m semi-structured)."""
+    if not text.isascii() or "_" in text:  # int() and float() would read "1_0" and "٠.5"
+        raise ValueError(f"bad sparsity {text!r}; expected ASCII digits without underscores, as in 0.5 or 2:4")
     if ":" in text:
         left, _, right = text.partition(":")
         try:

@@ -8,12 +8,11 @@ memo never consumes budget, but every candidate considered is logged, so the
 trial log may contain repeated configs with bit-identical fitness.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import MASK_CLASS_COUNT, N_COEFFS, N_TRANSFORMS, SPACE_SIZE, MetricConfig, mask_equivalence_key
+from .metric import ALL_CODES, MASK_CLASS_COUNT, N_COEFFS, SPACE_SIZE, MetricConfig, mask_equivalence_key
 from .objective import EvalContext, evaluate_configs
 
 GENE_COUNT = 4
@@ -73,15 +72,9 @@ def _codes(genes: np.ndarray) -> tuple[int, int, int, int]:
     return tuple(min(int(g * 7), 6) for g in genes.tolist())
 
 
-@functools.cache
-def _key_for_codes(codes: tuple[int, int, int, int]) -> tuple:
-    return mask_equivalence_key(MetricConfig.from_codes(codes))
-
-
 def _class_key(genes: np.ndarray) -> tuple:
-    """mask_equivalence_key(decode(genes)) for genes already in [0, 1), from
-    the four codes alone: one cached key per code tuple (at most 2401)."""
-    return _key_for_codes(_codes(genes))
+    """The mask class of genes already in [0, 1)."""
+    return mask_equivalence_key(_codes(genes))
 
 
 def sbx_crossover(p1, p2, eta_c: float, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -140,13 +133,7 @@ def environmental_selection(fitnesses: list[float], keep: int) -> list[int]:
 
 def all_configs() -> list[MetricConfig]:
     """All 2401 configs in lexicographic code order."""
-    return [
-        MetricConfig.from_codes((a, b, f1, f2))
-        for a in range(N_COEFFS)
-        for b in range(N_COEFFS)
-        for f1 in range(N_TRANSFORMS)
-        for f2 in range(N_TRANSFORMS)
-    ]
+    return [MetricConfig.from_codes(codes) for codes in ALL_CODES]
 
 
 class _TrialLog:
@@ -251,11 +238,12 @@ def _escape_duplicate(
         if _class_key(candidate) not in taken:
             return candidate
     for elite in elites:
+        codes = _codes(elite)
         for slot in range(GENE_COUNT):
             for code in range(7):
-                candidate = elite.copy()
-                candidate[slot] = _gene_for_code(code)
-                if _class_key(candidate) not in taken:
+                if mask_equivalence_key(codes[:slot] + (code,) + codes[slot + 1:]) not in taken:
+                    candidate = elite.copy()
+                    candidate[slot] = _gene_for_code(code)
                     return candidate
     for _ in range(8):
         candidate = np.clip(rng.random(GENE_COUNT), 0.0, GENE_MAX)
@@ -283,7 +271,7 @@ def nsga2_search(ctx: EvalContext, params: SearchParams) -> SearchResult:
         elite_order = environmental_selection(fitnesses, min(12, len(population)))
         elites = [population[i] for i in elite_order]
         offspring: list[np.ndarray] = []
-        taken = {mask_equivalence_key(cfg) for cfg in log.memo}
+        taken = {mask_equivalence_key(cfg.codes) for cfg in log.memo}
         for i in range(0, params.population, 2):
             if rng.random() < P_CROSSOVER:
                 c1, c2 = sbx_crossover(parents[i], parents[i + 1], ETA_C, rng)

@@ -17,7 +17,7 @@ import prunesearch
 from prunesearch import io as storage
 from prunesearch import objective
 from prunesearch.analysis import distribution_summary, emit_report
-from prunesearch.cli import run
+from prunesearch.cli import build_parser, run
 from prunesearch.metric import PRESET_NAMES
 from prunesearch.objective import collect_activation_stats
 
@@ -73,6 +73,32 @@ def test_bad_metric_and_sparsity_are_usage_errors(micro_files, capsys):
     # numpy would reject a negative seed too, but with a message that does not name the flag.
     assert run(["search", *inputs, "--seed", "-1"]) == 1
     assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, accepted", [
+    ("--sparsity", "0.5", True),
+    ("--sparsity", "2:4", True),
+    ("--metric", "custom:2,1,0,2", True),
+    ("--metric", "custom:frobenius,global_sum,identity,sqrt", True),
+    # int() and float() would read each of these: 10:20, 0.25, 0.5, 2:4, code 0, code 2.
+    ("--sparsity", "1_0:2_0", False),
+    ("--sparsity", "0.2_5", False),
+    ("--sparsity", "\u0660.5", False),
+    ("--sparsity", "\uff12:\uff14", False),
+    ("--metric", "custom:0_0,0,0,0", False),
+    ("--metric", "custom:\u0662,1,0,2", False),
+])
+def test_number_flags_take_ascii_digits_without_underscores(tmp_path, capsys, flag, value, accepted):
+    flags = {"--metric": "wanda", "--sparsity": "0.5", flag: value}
+    argv = ["prune", "--model", "m.opsh", "--stats", "s.json", "--out", str(tmp_path / "p.opsh")]
+    for name, text in flags.items():
+        argv += [name, text]
+    if accepted:
+        build_parser().parse_args(argv)
+        return
+    assert run(argv) == 1
+    assert f"argument {flag}: " in capsys.readouterr().err
+    assert not (tmp_path / "p.opsh").exists()
 
 
 def test_population_above_the_mask_classes_exits_2(micro_files, capsys):

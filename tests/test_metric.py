@@ -231,7 +231,7 @@ class TestMaskProperties:
         by_key = {}
         for cfg in all_configs():
             bits = build_mask(score(w, stats, cfg), spec)
-            key = mask_equivalence_key(cfg)
+            key = mask_equivalence_key(cfg.codes)
             if key in by_key:
                 assert np.array_equal(by_key[key], bits), str(cfg)
             else:

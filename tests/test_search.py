@@ -5,9 +5,12 @@ from prunesearch.metric import MASK_CLASS_COUNT, mask_equivalence_key
 from prunesearch.objective import make_context
 from prunesearch.prune import Unstructured
 from prunesearch.search import (
+    ETA_M,
+    GENE_COUNT,
     GENE_MAX,
     SearchParams,
     _class_key,
+    _escape_duplicate,
     all_configs,
     decode,
     environmental_selection,
@@ -61,9 +64,58 @@ def test_class_key_matches_decoded_key_for_every_code_tuple():
     for cfg in all_configs():
         for position in range(5):
             genes = np.array([gene_choices(c)[position] for c in cfg.codes])
-            assert _class_key(genes) == mask_equivalence_key(decode(genes)), genes.tolist()
+            assert _class_key(genes) == mask_equivalence_key(decode(genes).codes), genes.tolist()
             reference = np.minimum((genes * 7).astype(np.int64), 6)
             assert decode(genes).codes == tuple(reference.tolist()), genes.tolist()
+
+
+def _escape_duplicate_reference(child, taken, elites, rng):
+    """The duplicate escape with its elite sweep written the plain way: one
+    genome copy per single-slot variant, keyed by decoding. Returns the genome
+    and the stage that produced it."""
+    def free(genes):
+        return mask_equivalence_key(decode(genes).codes) not in taken
+
+    if free(child):
+        return child, "child"
+    for _ in range(2):
+        candidate = polynomial_mutation(child, ETA_M, 1.0, rng)
+        if free(candidate):
+            return candidate, "re-mutation"
+    for elite in elites:
+        for slot in range(GENE_COUNT):
+            for code in range(7):
+                candidate = elite.copy()
+                candidate[slot] = (code + 0.5) / 7.0
+                if free(candidate):
+                    return candidate, "elite sweep"
+    for _ in range(8):
+        candidate = np.clip(rng.random(GENE_COUNT), 0.0, GENE_MAX)
+        if free(candidate):
+            return candidate, "restart"
+    return child, "unchanged"
+
+
+def test_escape_duplicate_matches_the_copy_per_variant_reference():
+    # Same genome and same rng state after the call, over seeded elites,
+    # children and taken subsets of the 441 mask classes, dense enough that
+    # every stage of the escape fires.
+    keys = sorted({mask_equivalence_key(cfg.codes) for cfg in all_configs()})
+    cases = np.random.default_rng(11)
+    stages = set()
+    for case in range(600):
+        density = (0.0, 0.5, 0.9, 0.97, 0.995, 1.0)[case % 6]
+        taken = {key for key in keys if cases.random() < density}
+        elites = [np.clip(cases.random(GENE_COUNT), 0.0, GENE_MAX) for _ in range(int(cases.integers(1, 13)))]
+        child = np.clip(cases.random(GENE_COUNT), 0.0, GENE_MAX)
+        seed = int(cases.integers(2**32))
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected, stage = _escape_duplicate_reference(child, taken, elites, reference_rng)
+        got = _escape_duplicate(child, taken, elites, rng)
+        assert np.array_equal(got, expected), (case, stage)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state, (case, stage)
+        stages.add(stage)
+    assert stages == {"child", "re-mutation", "elite sweep", "restart", "unchanged"}
 
 
 class TestSbx:
@@ -141,7 +193,7 @@ def test_params_validation():
     with pytest.raises(ValueError):
         SearchParams(population=24, budget=23)
     # The first generation needs one config per distinct mask class.
-    assert MASK_CLASS_COUNT == len({mask_equivalence_key(cfg) for cfg in all_configs()}) == 441
+    assert MASK_CLASS_COUNT == len({mask_equivalence_key(cfg.codes) for cfg in all_configs()}) == 441
     SearchParams(population=440, budget=441)
     with pytest.raises(ValueError, match="mask classes"):
         SearchParams(population=442, budget=442)
@@ -248,7 +300,7 @@ def test_exhaustive_is_sorted_and_complete(mini_ctx):
     # mask-equivalent configs tie exactly in the oracle table
     by_key = {}
     for _, cfg, v in oracle.trials:
-        key = mask_equivalence_key(cfg)
+        key = mask_equivalence_key(cfg.codes)
         if key in by_key:
             assert by_key[key] == v
         by_key[key] = v
