@@ -27,7 +27,6 @@ _JOBS_HELP = (
     "worker processes that score new mask sets (>= 1; at most the usable CPUs); "
     "results are byte-identical for every value"
 )
-_ENUMERATE_JOBS_HELP = "accepted like search's --jobs (>= 1); enumerate scores every mask set in this process"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--calib", required=True)
     p.add_argument("--sparsity", type=_sparsity_arg, required=True, help=_SPARSITY_HELP)
-    p.add_argument("--jobs", type=_int_at_least(1), default=1, help=_ENUMERATE_JOBS_HELP)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1, help=_JOBS_HELP)
     p.add_argument("--out", required=True, help="results JSON path; a sibling .csv is written too")
     p.set_defaults(func=_cmd_enumerate)
 
@@ -207,16 +206,21 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_search(args) -> int:
-    weights = storage.read_model(args.model)
-    calib = storage.read_calib(args.calib)
-    ctx = make_context(weights, calib, args.sparsity)
+def _scored(args, search):
+    """search(ctx) on the context of --model, --calib and --sparsity, scored on
+    --jobs workers; the context is freed on return, before results are written."""
+    ctx = make_context(storage.read_model(args.model), storage.read_calib(args.calib), args.sparsity)
     with scoring_workers(ctx, args.jobs) as ctx:
+        return search(ctx)
+
+
+def _cmd_search(args) -> int:
+    def search(ctx):
         if args.algo == "nsga2":
-            params = SearchParams(population=args.pop, budget=args.budget, seed=args.seed)
-            result = nsga2_search(ctx, params)
-        else:
-            result = random_search(ctx, args.budget, args.seed)
+            return nsga2_search(ctx, SearchParams(population=args.pop, budget=args.budget, seed=args.seed))
+        return random_search(ctx, args.budget, args.seed)
+
+    result = _scored(args, search)
     storage.write_results(result, args.out, _csv_sibling(args.out))
     print(
         f"{result.algorithm}: best {result.best_config} l_div {result.best_l_div!r} "
@@ -226,12 +230,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    weights = storage.read_model(args.model)
-    calib = storage.read_calib(args.calib)
-    # Scored in this process whatever --jobs says. On a shared 2-core box a
-    # worker pool cut its time to 0.79x, but the time then followed the
-    # machine's load: the spread between runs grew about 2.5x.
-    result = exhaustive_search(make_context(weights, calib, args.sparsity))
+    result = _scored(args, exhaustive_search)
     storage.write_results(result, args.out, _csv_sibling(args.out))
     print(f"exhaustive: best {result.best_config} l_div {result.best_l_div!r}")
     return 0

@@ -19,7 +19,7 @@ from .model import ModelWeights, final_hidden_batch, forward, sub_module_shapes,
 from .prune import SparsitySpec, apply_masks, packed_mask_sets, unpack_mask_set
 
 if TYPE_CHECKING:
-    from concurrent.futures import Executor
+    from concurrent.futures import Executor, Future
 
 ActivationStats = dict[str, SubModuleStats]
 
@@ -177,10 +177,11 @@ def _usable_cpus() -> int:
 def _fork_pool(role: str, workers: int, task) -> Iterator["Executor"]:
     """A pool of `workers` processes of the `fork` start method, whose _run_task
     calls `task`. The workers inherit `task` when they are forked, all at the
-    first map and before the pool starts a thread, so a one-thread caller (the
-    CLI) forks one-thread processes and only arguments and results are
+    first submit and before the pool starts a thread, so a one-thread caller
+    (the CLI) forks one-thread processes and only arguments and results are
     pickled. A worker's exception is raised again in the caller, a worker that
-    dies is an OSError naming `role`, and the processes are joined on exit.
+    dies is an OSError naming `role`, and the processes are joined on exit;
+    tasks not yet started when the block raises are cancelled.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -190,11 +191,12 @@ def _fork_pool(role: str, workers: int, task) -> Iterator["Executor"]:
         workers, mp_context=multiprocessing.get_context("fork"),
         initializer=_init_worker, initargs=(task,),
     )
-    with pool:
-        try:
-            yield pool
-        except BrokenProcessPool as exc:
-            raise OSError(f"a {role} worker died: {exc}") from None
+    try:
+        yield pool
+    except BrokenProcessPool as exc:
+        raise OSError(f"a {role} worker died: {exc}") from None
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 _worker_task = None  # the task of a _fork_pool, set in each of its workers by _init_worker
@@ -238,7 +240,7 @@ def scoring_workers(ctx: EvalContext, jobs: int) -> Iterator[EvalContext]:
     With one worker ctx itself is yielded: nothing is forked and
     multiprocessing is not imported. Otherwise the yielded context shares
     ctx's inputs and fitness cache, and a _fork_pool, whose workers inherit
-    ctx, scores the new mask sets of each evaluate_configs call: each task is
+    ctx, scores each new mask set that evaluate_configs submits: each task is
     one packed mask set, each result one float.
     """
     workers = worker_count(jobs, _usable_cpus())
@@ -255,13 +257,6 @@ def _score(ctx: EvalContext, packed: bytes) -> float:
     return divergence(ctx.dense_hidden, pruned, ctx.calib)
 
 
-def _score_batch(ctx: EvalContext, batch: list[bytes]) -> list[float]:
-    """The fitness of each new mask set of a batch, in batch order."""
-    if ctx.workers is None or len(batch) == 1:
-        return [_score(ctx, packed) for packed in batch]
-    return list(ctx.workers.map(_run_task, batch))
-
-
 def evaluate_configs(ctx: EvalContext, kinds: Sequence[MetricKind]) -> list[float]:
     """Fitness (the float divergence gives) of each kind, in input order;
     pure in (ctx, kinds).
@@ -270,23 +265,28 @@ def evaluate_configs(ctx: EvalContext, kinds: Sequence[MetricKind]) -> list[floa
     factor and a few stacked build_mask calls per (alpha, f1) group and
     sub-module). A mask set the context has seen takes its cached fitness;
     only a new one is unpacked, applied to a pruned copy and run through
-    divergence. The new mask sets of a call are scored in one batch, on the
-    context's workers when it has them, and enter the cache in batch order.
-    Every new packed set stays in the cache anyway, so the batch holds no
-    memory the cache would not. Identical masks give identical pruned
-    weights, so a cached fitness, or one computed in a worker, is
-    bit-identical to a recomputed one. Search budgets count configs, not
-    forwards.
+    divergence. On a context with workers each new mask set is submitted to
+    them as soon as packed_mask_sets yields it, so the workers score while
+    the remaining groups are masked; without workers the new sets are scored
+    in this process once masking ends. Either way they enter the cache in the
+    order they were first yielded. Every new packed set stays in the cache
+    anyway, so holding them until then costs no memory the cache would not.
+    Identical masks give identical pruned weights, so a cached fitness, or
+    one computed in a worker, is bit-identical to a recomputed one. Search
+    budgets count configs, not forwards.
     """
     distinct = list(dict.fromkeys(kinds))
     fitness: dict[MetricKind, float] = {}
-    new: dict[bytes, list[MetricKind]] = {}
+    new: dict[bytes, tuple["Future | None", list[MetricKind]]] = {}
     for i, packed in packed_mask_sets(ctx.weights, ctx.stats, distinct, ctx.spec):
         if packed in ctx.fitness_by_masks:
             fitness[distinct[i]] = ctx.fitness_by_masks[packed]
-        else:
-            new.setdefault(packed, []).append(distinct[i])
-    for (packed, waiting), fit in zip(new.items(), _score_batch(ctx, list(new))):
+            continue
+        if packed not in new:
+            new[packed] = (None if ctx.workers is None else ctx.workers.submit(_run_task, packed), [])
+        new[packed][1].append(distinct[i])
+    for packed, (future, waiting) in new.items():
+        fit = _score(ctx, packed) if future is None else future.result()
         ctx.fitness_by_masks[packed] = fit
         for kind in waiting:
             fitness[kind] = fit

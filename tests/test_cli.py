@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import math
@@ -127,6 +128,11 @@ def _search_argv(files, out, jobs):
             "--budget", "40", "--pop", "8", "--seed", "2", "--jobs", str(jobs), "--out", str(out)]
 
 
+def _enumerate_argv(files, out, jobs):
+    return ["enumerate", "--model", str(files["model"]), "--calib", str(files["calib"]), "--sparsity", "0.5",
+            "--jobs", str(jobs), "--out", str(out)]
+
+
 def test_search_with_workers_matches_one_worker_and_leaves_no_process(micro_files, monkeypatch, capsys):
     monkeypatch.setattr(objective, "_usable_cpus", lambda: 2)
     one, two = micro_files["dir"] / "one.json", micro_files["dir"] / "two.json"
@@ -151,26 +157,55 @@ def test_error_in_a_worker_exits_2_with_one_line(micro_files, monkeypatch, capsy
 
     monkeypatch.setattr(objective, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(objective, "divergence", failing_in_worker)
-    assert run(_search_argv(micro_files, micro_files["dir"] / "r.json", 2)) == 2
-    err = capsys.readouterr().err
-    expected = "a scoring worker died" if error is None else "failed in a worker"
-    assert err.startswith("error: ") and err.count("\n") == 1 and expected in err
-    assert multiprocessing.active_children() == []
-    assert not (micro_files["dir"] / "r.json").exists()
+    outs = [micro_files["dir"] / "r.json", micro_files["dir"] / "t.json"]
+    for argv in (_search_argv(micro_files, outs[0], 2), _enumerate_argv(micro_files, outs[1], 2)):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        expected = "a scoring worker died" if error is None else "failed in a worker"
+        assert err.startswith("error: ") and err.count("\n") == 1 and expected in err
+        assert multiprocessing.active_children() == []
+    assert not any(out.exists() for out in outs)
 
 
-def test_enumerate_scores_in_its_own_process_for_any_jobs(micro_files, monkeypatch, capsys):
+def test_enumerate_with_workers_matches_one_worker_and_leaves_no_process(micro_files, monkeypatch, capsys):
     def no_fork():
-        raise AssertionError("enumerate forked a process")
+        raise AssertionError("enumerate --jobs 1 forked a process")
 
     monkeypatch.setattr(objective, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(os, "fork", no_fork)
-    tables = []
-    for jobs in (1, 2):
-        tables.append(micro_files["dir"] / f"t{jobs}.json")
-        assert run(["enumerate", "--model", str(micro_files["model"]), "--calib", str(micro_files["calib"]),
-                    "--sparsity", "0.5", "--jobs", str(jobs), "--out", str(tables[-1])]) == 0
-    assert tables[0].read_bytes() == tables[1].read_bytes()
+    one, two = micro_files["dir"] / "one.json", micro_files["dir"] / "two.json"
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fork", no_fork)
+        assert run(_enumerate_argv(micro_files, one, 1)) == 0
+    forks, fork = [], os.fork
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+        assert run(_enumerate_argv(micro_files, two, 2)) == 0
+    assert len(forks) == 2
+    assert multiprocessing.active_children() == []
+    assert one.read_bytes() == two.read_bytes()
+    assert one.with_suffix(".csv").read_bytes() == two.with_suffix(".csv").read_bytes()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_scoring_commands_free_their_context_before_writing(micro_files, monkeypatch, capsys, jobs):
+    # The fitness cache holds params/8 bytes per distinct mask set: writing
+    # the results must not add its own peak on top of it.
+    def live_contexts():
+        return {id(o) for o in gc.get_objects() if isinstance(o, objective.EvalContext)}
+
+    write_results = storage.write_results
+
+    def checked_write(*args):
+        assert live_contexts() <= before
+        return write_results(*args)
+
+    monkeypatch.setattr(objective, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(storage, "write_results", checked_write)
+    out = micro_files["dir"] / "r.json"
+    for argv in (_search_argv(micro_files, out, jobs), _enumerate_argv(micro_files, out, jobs)):
+        before = live_contexts()
+        assert run(argv) == 0
     capsys.readouterr()
 
 

@@ -202,7 +202,7 @@ def test_evaluate_configs_keeps_input_order_and_duplicates(mini_weights, mini_ca
 @pytest.mark.parametrize("spec", [Unstructured(0.5), SemiStructured(2, 4)], ids=["0.5", "2:4"])
 def test_worker_scores_are_bit_identical_to_in_process(mini_weights, mini_calib, spec, monkeypatch):
     # The first 300 configs repeat mask sets (rank-neutral alphas and betas)
-    # and hold more than 32 new mask sets, all scored in one batch; the tail
+    # and hold more than 32 new mask sets, all submitted in one call; the tail
     # repeats kinds.
     kinds = all_configs()[:300]
     kinds += kinds[:40]
@@ -217,6 +217,39 @@ def test_worker_scores_are_bit_identical_to_in_process(mini_weights, mini_calib,
     assert multiprocessing.active_children() == []
     assert got == expected
     assert list(pooled.fitness_by_masks.items()) == list(local.fitness_by_masks.items())
+
+
+def test_new_mask_sets_reach_the_workers_while_masking_goes_on(mini_weights, mini_calib, monkeypatch):
+    # The order of calls pins the overlap without timing: each new set is
+    # submitted right after packed_mask_sets yields it, before the next yield.
+    events = []
+    mask_sets = objective.packed_mask_sets
+
+    def recorded_mask_sets(*args):
+        for i, packed in mask_sets(*args):
+            events.append(("yield", packed))
+            yield i, packed
+        events.append(("exhausted", None))
+
+    kinds = all_configs()[:300]
+    ctx = make_context(mini_weights, mini_calib, Unstructured(0.5))
+    evaluate_configs(ctx, kinds[:150])
+    cached = list(ctx.fitness_by_masks)
+    monkeypatch.setattr(objective, "packed_mask_sets", recorded_mask_sets)
+    monkeypatch.setattr(objective, "_usable_cpus", lambda: 2)
+    with scoring_workers(ctx, jobs=2) as pooled:
+        submit = pooled.workers.submit
+        monkeypatch.setattr(pooled.workers, "submit", lambda fn, packed: events.append(("submit", packed)) or submit(fn, packed))
+        got = evaluate_configs(pooled, kinds)
+    submitted = [packed for event, packed in events if event == "submit"]
+
+    assert events.index(("submit", submitted[0])) < events.index(("exhausted", None))
+    for at, (event, packed) in enumerate(events):
+        if event == "submit":
+            assert events[at - 1] == ("yield", packed)
+    assert len(set(submitted)) == len(submitted) > 1 and not set(submitted) & set(cached)
+    assert list(ctx.fitness_by_masks) == cached + submitted
+    assert got == evaluate_configs(make_context(mini_weights, mini_calib, Unstructured(0.5)), kinds)
 
 
 def test_one_worker_forks_nothing(mini_ctx):
