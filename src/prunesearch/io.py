@@ -70,7 +70,8 @@ def _write_container(path, header: dict, tensors: list[tuple[str, np.ndarray, in
             for dim in array.shape:
                 f.write(struct.pack("<I", dim))
             f.write(struct.pack("<B", dtype_code))
-            f.write(np.ascontiguousarray(array).astype(_DTYPES[dtype_code]).tobytes())
+            # One converted copy, written from its buffer.
+            f.write(np.ascontiguousarray(array, dtype=_DTYPES[dtype_code]))
 
 
 def _read_exact(f, count: int, what: str) -> bytes:
@@ -82,7 +83,15 @@ def _read_exact(f, count: int, what: str) -> bytes:
     return f.read(count)
 
 
-def _read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
+def _keep(name: str, array: np.ndarray) -> np.ndarray:
+    return array
+
+
+def _read_container(path, kind=None, convert=_keep) -> tuple[dict, dict[str, np.ndarray]]:
+    """The header and every tensor, each passed through convert(name, array)
+    as soon as its payload is read: only the result is kept, so a reader
+    that converts holds at most one payload at a time. With a kind, a header
+    of another kind is rejected before any tensor is read."""
     with open(path, "rb") as f:
         if _read_exact(f, 4, "magic") != MAGIC:
             raise FormatError(f"bad magic in {path}; expected OPSH container")
@@ -93,6 +102,8 @@ def _read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
         header = _parse_json(_read_exact(f, header_len, "header"), "bad container header")
         if not isinstance(header, dict):
             raise FormatError("container header must be a JSON object")
+        if kind is not None and header.get("kind") != kind:
+            raise FormatError(f"expected a {kind} container, got kind={header.get('kind')!r}")
         (count,) = struct.unpack("<I", _read_exact(f, 4, "tensor count"))
         tensors: dict[str, np.ndarray] = {}
         for _ in range(count):
@@ -112,7 +123,8 @@ def _read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
                 raise FormatError(f"unknown dtype code {dtype_code} for tensor {name!r}")
             dtype = _DTYPES[dtype_code]
             payload = _read_exact(f, math.prod(dims) * dtype.itemsize, f"payload of {name}")
-            tensors[name] = np.frombuffer(payload, dtype=dtype).reshape(dims)
+            tensors[name] = convert(name, np.frombuffer(payload, dtype=dtype).reshape(dims))
+            del payload  # before the next payload is read
         if f.read(1):
             raise FormatError("trailing bytes after last tensor")
     return header, tensors
@@ -127,9 +139,7 @@ def write_model(path, weights: ModelWeights) -> None:
 
 
 def read_model(path) -> ModelWeights:
-    header, tensors = _read_container(path)
-    if header.get("kind") != "model":
-        raise FormatError(f"expected a model container, got kind={header.get('kind')!r}")
+    header, tensors = _read_container(path, "model", lambda name, array: array.astype(np.float64))
     try:
         config = ModelConfig(**header["config"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -152,7 +162,7 @@ def read_model(path) -> ModelWeights:
             raise FormatError(f"tensor {name!r} has shape {tensors[name].shape}, expected {shape}")
         if not np.isfinite(tensors[name]).all():
             raise FormatError(f"tensor {name!r} holds non-finite values")
-    return ModelWeights(config, {name: a.astype(np.float64) for name, a in tensors.items()})
+    return ModelWeights(config, tensors)
 
 
 # -- calibration sets ---------------------------------------------------------
@@ -242,22 +252,21 @@ def read_stats(path) -> ActivationStats:
 
 def write_masks(path, masks: MaskSet) -> None:
     """One 2-D uint8 tensor per sub-module (a Mask is always 2-D)."""
-    tensors = [(name, masks[name].bits.astype(np.uint8), DTYPE_U8) for name in masks]
+    tensors = [(name, masks[name].bits, DTYPE_U8) for name in masks]
     _write_container(path, {"kind": "masks"}, tensors)
 
 
+def _mask_bits(name: str, array: np.ndarray) -> np.ndarray:
+    if array.dtype != np.uint8 or array.ndim != 2:
+        raise FormatError(f"mask {name!r}: expected a 2-D uint8 tensor")
+    if not (array <= 1).all():
+        raise FormatError(f"mask {name!r}: flags must be 0 or 1")
+    return array.astype(bool)
+
+
 def read_masks(path) -> MaskSet:
-    header, tensors = _read_container(path)
-    if header.get("kind") != "masks":
-        raise FormatError(f"expected a masks container, got kind={header.get('kind')!r}")
-    masks: MaskSet = {}
-    for name, array in tensors.items():
-        if array.dtype != np.uint8 or array.ndim != 2:
-            raise FormatError(f"mask {name!r}: expected a 2-D uint8 tensor")
-        if not np.isin(array, (0, 1)).all():
-            raise FormatError(f"mask {name!r}: flags must be 0 or 1")
-        masks[name] = Mask(bits=array.astype(bool))
-    return masks
+    _, bits = _read_container(path, "masks", _mask_bits)
+    return {name: Mask(bits=b) for name, b in bits.items()}
 
 
 # -- search results -------------------------------------------------------------

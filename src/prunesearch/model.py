@@ -18,6 +18,8 @@ import numpy as np
 
 RMSNORM_EPS = 1e-6
 INIT_STD = 0.02
+# Attention works on about this many query rows of every head at once.
+ATTENTION_ROWS = 64
 
 # Prunable linear maps inside one block, in canonical order.
 SUB_MODULES = ("q", "k", "v", "o", "gate", "up", "down")
@@ -120,10 +122,14 @@ def rmsnorm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
 
 
 def silu(x: np.ndarray) -> np.ndarray:
+    # One temporary: 1 + exp(-x) is formed in place and x divided into it.
     # exp(-x) overflows to inf below x of about -709, and x / (1 + inf) is
     # then -0.0, the exact limit: the overflow is expected, not reported.
+    out = np.negative(x)
     with np.errstate(over="ignore"):
-        return x / (1.0 + np.exp(-x))
+        np.exp(out, out=out)
+    out += 1.0
+    return np.divide(x, out, out=out)
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -157,12 +163,20 @@ def _causal_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int)
     qh = q.reshape(t, n_heads, hd).transpose(1, 0, 2)
     kh = k.reshape(t, n_heads, hd).transpose(1, 0, 2)
     vh = v.reshape(t, n_heads, hd).transpose(1, 0, 2)
-    logits = qh @ kh.transpose(0, 2, 1)
-    logits /= np.sqrt(hd)
-    np.copyto(logits, -np.inf, where=_future_mask(t))
-    probs = softmax_rows(logits)
-    mixed = probs @ vh  # (H, T, hd)
-    return mixed.transpose(1, 0, 2).reshape(t, d)
+    future = _future_mask(t)
+    mixed = np.empty((t, n_heads, hd))
+    # Heads in groups, so that the logits and probabilities held at once are
+    # at most n_heads x ATTENTION_ROWS x t entries each; up to ATTENTION_ROWS
+    # tokens all heads are one group. Every head is its own matrix product,
+    # softmax and mix in any grouping, so the bits do not depend on it.
+    group = max(1, n_heads * ATTENTION_ROWS // t)
+    for first in range(0, n_heads, group):
+        heads = slice(first, first + group)
+        logits = qh[heads] @ kh[heads].transpose(0, 2, 1)
+        logits /= np.sqrt(hd)
+        np.copyto(logits, -np.inf, where=future)
+        mixed[:, heads] = (softmax_rows(logits) @ vh[heads]).transpose(1, 0, 2)
+    return mixed.reshape(t, d)
 
 
 def token_ids(config: ModelConfig, tokens) -> np.ndarray:
@@ -205,7 +219,8 @@ def forward(weights: ModelWeights, tokens, capture: bool = False) -> ForwardTrac
         h = rmsnorm(x, w.mlp_norm)
         if captured is not None:
             captured[keys.gate] = captured[keys.up] = h
-        inner = silu(h @ w.gate) * (h @ w.up)
+        inner = silu(h @ w.gate)
+        inner *= h @ w.up
         if captured is not None:
             captured[keys.down] = inner
         x = x + inner @ w.down

@@ -193,6 +193,10 @@ def packed_mask_sets(
                     if (key, cfg.beta, cfg.f2) not in act:
                         act[key, cfg.beta, cfg.f2] = activation_factor(stats[key], cfg)
                 side = np.array([act[key, kinds[i].beta, kinds[i].f2] for i in members])
+            # w is a transposed view, so the factor comes out F-ordered; a
+            # C-ordered factor makes C-ordered score stacks, which build_mask
+            # reshapes without a copy.
+            factor = np.ascontiguousarray(factor)
             per_call = max(1, MAX_SCORES_PER_CALL // w.size)
             slices = []
             for start in range(0, len(members), per_call):

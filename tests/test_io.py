@@ -1,6 +1,9 @@
 import hashlib
 import json
+import math
 import struct
+import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prunesearch import io as storage
+from prunesearch.cli import run
 from prunesearch.metric import preset
-from prunesearch.model import ModelConfig, ModelWeights, init_model
+from prunesearch.model import ModelConfig, ModelWeights, init_model, tensor_shapes
 from prunesearch.objective import CalibrationSet, collect_activation_stats, synthetic_calibration
 from prunesearch.prune import Mask, SemiStructured, prune_model
 from prunesearch.search import SearchParams, nsga2_search
@@ -104,6 +108,83 @@ def test_read_model_rejects_non_finite_weights(tmp_path, mini_weights):
     storage.write_model(path, bad)
     with pytest.raises(storage.FormatError, match="layer.0.q"):
         storage.read_model(path)
+
+
+def _write_model_with_nan_and_a_renamed_tensor(path, weights):
+    # layer.0.q holds a NaN and comes first in the file; layer.0.k, after it,
+    # is stored under another name.
+    tensors = []
+    for name, array in weights.tensors.items():
+        if name == "layer.0.q":
+            array = array.copy()
+            array[0, 0] = np.nan
+        tensors.append(("layer.0.key" if name == "layer.0.k" else name, array, storage.DTYPE_F32))
+    storage._write_container(path, {"kind": "model", "config": asdict(weights.config)}, tensors)
+
+
+def test_read_model_reports_the_layout_before_non_finite_values(tmp_path, mini_weights):
+    # A reader that converts tensors as it reads them still checks the
+    # tensor set first: a file with both faults names the set, not the NaN.
+    path = tmp_path / "model.opsh"
+    _write_model_with_nan_and_a_renamed_tensor(path, mini_weights)
+    with pytest.raises(storage.FormatError, match=r"tensor set mismatch: missing \['layer.0.k'\]") as info:
+        storage.read_model(path)
+    assert "non-finite" not in str(info.value)
+
+
+def test_damaged_model_gives_one_error_line_and_exit_2(tmp_path, mini_weights, mini_calib, capsys):
+    bad = tmp_path / "bad.opsh"
+    _write_model_with_nan_and_a_renamed_tensor(bad, mini_weights)
+    calib = tmp_path / "calib.jsonl"
+    storage.write_calib(calib, mini_calib)
+    good = tmp_path / "good.opsh"
+    storage.write_model(good, mini_weights)
+    assert run(["eval", "--dense", str(good), "--pruned", str(bad), "--calib", str(calib)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: model tensor set mismatch") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_readers_check_the_kind_before_reading_tensors(tmp_path, mini_weights):
+    # A truncated model file read as masks: its tensors are never reached.
+    path = tmp_path / "model.opsh"
+    storage.write_model(path, mini_weights)
+    path.write_bytes(path.read_bytes()[:-7])
+    with pytest.raises(storage.FormatError, match="expected a masks container, got kind='model'"):
+        storage.read_masks(path)
+
+
+# Large enough that the float32 payloads of the whole file (9.5 MB) dwarf
+# the largest tensor (the 4 MB token embedding) and the 1 MB of slack.
+_MEMORY_CONFIG = ModelConfig(vocab_size=4096, d_model=256, n_layers=2, n_heads=4, d_ff=512, max_seq_len=64)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _memory_model(tmp_path):
+    sizes = [math.prod(shape) for shape in tensor_shapes(_MEMORY_CONFIG).values()]
+    return init_model(_MEMORY_CONFIG, 3), tmp_path / "model.opsh", 8 * sum(sizes), 4 * max(sizes)
+
+
+def test_write_model_holds_one_float32_copy_at_a_time(tmp_path):
+    weights, path, _, largest_float32 = _memory_model(tmp_path)
+    assert _traced_peak(storage.write_model, path, weights) <= largest_float32 + 2**18
+
+
+def test_read_model_holds_one_float32_payload_at_a_time(tmp_path):
+    weights, path, float64_total, largest_float32 = _memory_model(tmp_path)
+    storage.write_model(path, weights)
+    del weights
+    # The float64 model is the result; beside it the reader may hold the
+    # payload it is converting, and nothing else of size.
+    assert _traced_peak(storage.read_model, path) <= float64_total + largest_float32 + 2**20
 
 
 def test_read_model_rejects_a_tensor_name_that_is_not_utf8(tmp_path, mini_weights):

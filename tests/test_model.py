@@ -113,7 +113,9 @@ def _reference_attention(q, k, v, n_heads):
 @pytest.mark.parametrize(
     "t, d, heads, scale",
     [(1, 8, 2, 1.0), (5, 12, 3, 1.0), (16, 16, 2, 1.0), (37, 32, 4, 1.0), (64, 32, 4, 1.0),
-     (64, 32, 4, 30.0), (23, 24, 1, 30.0), (64, 64, 8, 30.0)],
+     (64, 32, 4, 30.0), (23, 24, 1, 30.0), (64, 64, 8, 30.0),
+     # Above model.ATTENTION_ROWS the heads run in groups, the last one short.
+     (65, 64, 8, 1.0), (128, 64, 8, 30.0), (200, 64, 8, 1.0), (256, 256, 8, 1.0)],
 )
 def test_causal_attention_is_bit_identical_to_reference(t, d, heads, scale):
     rng = np.random.default_rng(t * 1000 + d + heads)
@@ -123,16 +125,39 @@ def test_causal_attention_is_bit_identical_to_reference(t, d, heads, scale):
     assert model._causal_attention(q, k, v, heads).tobytes() == expected.tobytes()
 
 
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("t", [1, 9, 16])
-def test_forward_is_bit_identical_to_reference_attention(mini_weights, monkeypatch, t):
-    tokens = np.random.default_rng(t).integers(0, mini_weights.config.vocab_size, size=t)
-    actual = forward(mini_weights, tokens, capture=True)
+def _assert_forward_matches_reference_attention(weights, t, monkeypatch):
+    tokens = np.random.default_rng(t).integers(0, weights.config.vocab_size, size=t)
+    actual = forward(weights, tokens, capture=True)
     monkeypatch.setattr(model, "_causal_attention", _reference_attention)
-    expected = forward(mini_weights, tokens, capture=True)
+    expected = forward(weights, tokens, capture=True)
     assert actual.final_hidden.tobytes() == expected.final_hidden.tobytes()
     for key, value in expected.captured_inputs.items():
         assert actual.captured_inputs[key].tobytes() == value.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [1, 9, 16])
+def test_forward_is_bit_identical_to_reference_attention(mini_weights, monkeypatch, t):
+    _assert_forward_matches_reference_attention(mini_weights, t, monkeypatch)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [65, 130, 160])
+def test_long_forward_is_bit_identical_to_reference_attention(monkeypatch, t):
+    # 8 heads over sequences past ATTENTION_ROWS: 7, 3 and 3 heads per group.
+    weights = init_model(ModelConfig(vocab_size=64, d_model=32, n_layers=2, n_heads=8, d_ff=48, max_seq_len=160), 5)
+    _assert_forward_matches_reference_attention(weights, t, monkeypatch)
+
+
+@pytest.mark.parametrize("t, heads, groups", [(64, 8, [8]), (65, 8, [7, 1]), (256, 8, [2, 2, 2, 2]), (256, 2, [1, 1])])
+def test_attention_holds_the_logits_of_a_head_group_at_a_time(monkeypatch, t, heads, groups):
+    # At most n_heads x ATTENTION_ROWS x t logits at once, as many as
+    # ATTENTION_ROWS query rows of every head.
+    seen = []
+    monkeypatch.setattr(model, "softmax_rows", lambda logits: seen.append(logits.shape) or softmax_rows(logits))
+    q = np.random.default_rng(t).normal(size=(t, 8 * heads))
+    model._causal_attention(q, q, q, heads)
+    assert seen == [(g, t, t) for g in groups]
 
 
 @pytest.mark.filterwarnings("error")

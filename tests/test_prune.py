@@ -343,6 +343,21 @@ def test_packed_mask_sets_split_by_the_cap_give_the_same_bits(monkeypatch):
         assert all(np.prod(shape) <= MAX_SCORES_PER_CALL for shape in calls)
 
 
+def test_packed_mask_sets_mask_c_ordered_score_stacks(monkeypatch, mini_weights, mini_stats):
+    # build_mask reshapes its scores into groups; a C-ordered stack is
+    # reshaped in place, any other order is first copied whole.
+    orders = []
+
+    def recording_build_mask(scores, spec):
+        orders.append(scores.flags.c_contiguous)
+        return build_mask(scores, spec)
+
+    monkeypatch.setattr(prune, "build_mask", recording_build_mask)
+    kinds = [preset("wanda"), preset("ria"), MAGNITUDE]
+    assert len(list(packed_mask_sets(mini_weights, mini_stats, kinds, SemiStructured(2, 4)))) == 3
+    assert orders and all(orders)
+
+
 def test_unpack_mask_set_checks_the_length(mini_weights, mini_stats):
     [(_, packed)] = packed_mask_sets(mini_weights, mini_stats, [preset("wanda")], Unstructured(0.5))
     _, masks = prune_model(mini_weights, mini_stats, preset("wanda"), Unstructured(0.5))
