@@ -1,5 +1,11 @@
 """Pruning-metric discovery toolkit for desk-scale decoder-only transformers."""
 
+import os
+
+# Processes are the only parallelism: one BLAS thread, so no result depends on
+# the core count. Set before numpy loads, over any value the caller set.
+os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+
 from .metric import MAGNITUDE, Coeff, MetricConfig, MetricKind, Transform, preset
 from .model import ModelConfig, ModelWeights, forward, init_model
 from .objective import CalibrationSet, evaluate_config, evaluate_configs, make_context, synthetic_calibration

@@ -83,11 +83,7 @@ def _read_exact(f, count: int, what: str) -> bytes:
     return f.read(count)
 
 
-def _keep(name: str, array: np.ndarray) -> np.ndarray:
-    return array
-
-
-def _read_container(path, kind=None, convert=_keep) -> tuple[dict, dict[str, np.ndarray]]:
+def _read_container(path, kind=None, convert=lambda name, array: array) -> tuple[dict, dict[str, np.ndarray]]:
     """The header and every tensor, each passed through convert(name, array)
     as soon as its payload is read: only the result is kept, so a reader
     that converts holds at most one payload at a time. With a kind, a header
@@ -138,8 +134,14 @@ def write_model(path, weights: ModelWeights) -> None:
     _write_container(path, {"kind": "model", "config": asdict(weights.config)}, tensors)
 
 
+def _weights(name: str, array: np.ndarray) -> np.ndarray:
+    if array.dtype != _DTYPES[DTYPE_F32]:
+        raise FormatError(f"model tensor {name!r}: expected float32, got {array.dtype}")
+    return array.astype(np.float64)
+
+
 def read_model(path) -> ModelWeights:
-    header, tensors = _read_container(path, "model", lambda name, array: array.astype(np.float64))
+    header, tensors = _read_container(path, "model", _weights)
     try:
         config = ModelConfig(**header["config"])
     except (KeyError, TypeError, ValueError) as exc:

@@ -303,4 +303,6 @@ def mask_equivalence_key(codes: tuple[int, int, int, int]) -> tuple:
     return (-1 if alpha in _ALPHA_RANK_NEUTRAL else alpha, -1 if beta in _BETA_RANK_NEUTRAL else beta, f1, f2)
 
 
-MASK_CLASS_COUNT = len({mask_equivalence_key(codes) for codes in ALL_CODES})  # 441
+# The codes of each mask class's lexicographically first config, in code order.
+CLASS_CODES = tuple(sorted({mask_equivalence_key(codes): codes for codes in reversed(ALL_CODES)}.values()))
+MASK_CLASS_COUNT = len(CLASS_CODES)  # 441

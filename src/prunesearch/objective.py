@@ -223,7 +223,7 @@ def _per_sequence(task, calib: CalibrationSet, *models: ModelWeights) -> Iterabl
     for seq in sequences:
         token_ids(models[0].config, seq)
     macs = sum(map(len, sequences)) * sum(i * o for i, o in sub_module_shapes(models[0].config).values())
-    workers = min(_usable_cpus(), len(sequences))
+    workers = worker_count(len(sequences), _usable_cpus())
     if macs < POOL_MIN_MACS or workers == 1:
         return (task(*models, seq) for seq in sequences)
     order = sorted(range(len(sequences)), key=lambda i: -len(sequences[i]))

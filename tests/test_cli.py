@@ -649,3 +649,53 @@ def test_search_integer_flags_end_in_a_code(clean_micro_files, tmp_path_factory,
             "--sparsity", "0.5", "--budget", budget, "--pop", pop, "--seed", seed, "--jobs", jobs,
             "--out", tmp_path_factory.mktemp("search") / "r.json"]
     _assert_ends_in_a_code(argv, seed)
+
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _python(args, cwd, openblas_threads=None):
+    """`python ARGS` in a fresh process whose environment holds none of the
+    BLAS thread variables but OPENBLAS_NUM_THREADS=openblas_threads, if given.
+    This process imported prunesearch, so its own environment holds the pin."""
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    bogus = _python(["-m", "prunesearch.cli", "--bogus"], tmp_path)
+    assert bogus.returncode == 1 and bogus.stderr.startswith("usage: prunesearch"), bogus.stderr
+    done = _python(["-m", "prunesearch.cli", "gen-model", "--out", "m.opsh"], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert storage.read_model(tmp_path / "m.opsh").config.n_layers == 2
+
+
+def test_stats_bytes_do_not_depend_on_the_blas_thread_setting(tmp_path):
+    # One 255-token sequence through a d_model-256 layer: products that
+    # OpenBLAS splits over threads, and whose bits change when it does.
+    for argv in (
+        ["gen-model", "--layers", "1", "--d-model", "256", "--heads", "8", "--d-ff", "64", "--vocab", "128",
+         "--max-seq", "256", "--seed", "1", "--out", "m.opsh"],
+        ["gen-calib", "--vocab", "128", "--seqs", "1", "--len", "255", "--seed", "0", "--out", "c.jsonl"],
+    ):
+        done = _python(["-m", "prunesearch.cli", *argv], tmp_path)
+        assert done.returncode == 0, done.stderr
+    written = set()
+    for threads in (None, "1", "2", "4"):
+        done = _python(["-m", "prunesearch.cli", "stats", "--model", "m.opsh", "--calib", "c.jsonl",
+                        "--out", "s.json"], tmp_path, threads)
+        assert done.returncode == 0, done.stderr
+        written.add((tmp_path / "s.json").read_bytes())
+    assert len(written) == 1
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
+def test_importing_the_package_pins_blas_to_one_thread(tmp_path):
+    script = ("import os, prunesearch, numpy as np; a = np.ones((512, 512)); a @ a; "
+              "print(len(os.listdir('/proc/self/task')))")
+    done = _python(["-c", script], tmp_path, "4")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "1"

@@ -132,6 +132,22 @@ def test_read_model_reports_the_layout_before_non_finite_values(tmp_path, mini_w
     assert "non-finite" not in str(info.value)
 
 
+def test_read_model_rejects_a_tensor_not_stored_as_float32(tmp_path, mini_weights, mini_calib, capsys):
+    # layer.0.q stored as uint8 flags, with the right name and shape.
+    tensors = [(name, (array != 0).astype(np.uint8) if name == "layer.0.q" else array,
+                storage.DTYPE_U8 if name == "layer.0.q" else storage.DTYPE_F32)
+               for name, array in mini_weights.tensors.items()]
+    path = tmp_path / "model.opsh"
+    storage._write_container(path, {"kind": "model", "config": asdict(mini_weights.config)}, tensors)
+    with pytest.raises(storage.FormatError, match="'layer.0.q': expected float32, got uint8"):
+        storage.read_model(path)
+    calib = tmp_path / "calib.jsonl"
+    storage.write_calib(calib, mini_calib)
+    assert run(["stats", "--model", str(path), "--calib", str(calib), "--out", str(tmp_path / "s.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: model tensor 'layer.0.q'") and err.count("\n") == 1
+
+
 def test_damaged_model_gives_one_error_line_and_exit_2(tmp_path, mini_weights, mini_calib, capsys):
     bad = tmp_path / "bad.opsh"
     _write_model_with_nan_and_a_renamed_tensor(bad, mini_weights)

@@ -250,16 +250,17 @@ class TestRandomSearch:
         b = random_search(mini_ctx, budget=20, seed=4)
         assert a.trials == b.trials
 
-    def test_duplicates_do_not_consume_budget(self, mini_ctx):
-        result = random_search(mini_ctx, budget=120, seed=0)
-        configs = [cfg for _, cfg, _ in result.trials]
-        assert len(result.trials) > result.evaluations_used  # dup draws were logged
-        assert result.evaluations_used == len(set(configs)) == 120
-        seen = {}
-        for _, cfg, l_div in result.trials:
-            if cfg in seen:
-                assert seen[cfg] == l_div
-            seen[cfg] = l_div
+    @pytest.mark.parametrize("budget", [1, 50, 441, 2401])
+    def test_every_trial_is_a_new_mask_class(self, mini_ctx, budget):
+        result = random_search(mini_ctx, budget=budget, seed=6)
+        classes = [mask_equivalence_key(cfg.codes) for _, cfg, _ in result.trials]
+        assert len(set(classes)) == len(classes)
+        assert result.evaluations_used == len(result.trials) == min(budget, MASK_CLASS_COUNT)
+        # Each class is tried as its lexicographically first config.
+        first = {}
+        for cfg in all_configs():
+            first.setdefault(mask_equivalence_key(cfg.codes), cfg)
+        assert all(first[key] == cfg for key, (_, cfg, _) in zip(classes, result.trials))
 
     def test_running_best_non_increasing(self, mini_ctx):
         result = random_search(mini_ctx, budget=40, seed=1)
@@ -269,11 +270,6 @@ class TestRandomSearch:
             best = min(best, l_div)
             mins.append(best)
         assert mins == sorted(mins, reverse=True)
-
-    def test_without_replacement_all_distinct(self, mini_ctx):
-        result = random_search(mini_ctx, budget=50, seed=6, without_replacement=True)
-        configs = [cfg for _, cfg, _ in result.trials]
-        assert len(set(configs)) == len(configs) == 50
 
     def test_budget_validation(self, mini_ctx):
         with pytest.raises(ValueError):
