@@ -9,6 +9,8 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
+
 from .metric import Magnitude, MetricKind, activation_factor, check_stats, weight_factor
 from .model import SUB_MODULES, ModelWeights, sub_module_key, sub_module_shapes
 
@@ -61,7 +63,9 @@ def distribution_summary(weights: ModelWeights, stats: dict) -> dict:
         a_totals = []
         for name in SUB_MODULES:
             key = sub_module_key(i, name)
-            w_totals.append(float(abs(weights.tensors[key]).sum()))
+            # Widened before the sum: sum(dtype=np.float64) of float32
+            # reduces in buffered chunks, which changes the bits.
+            w_totals.append(float(abs(weights.tensors[key].astype(np.float64)).sum()))
             a_totals.append(float(stats[key].v.sum()))
         layers.append({
             "layer": i,

@@ -7,10 +7,10 @@ Binary container layout (all integers little-endian):
         name_len u16 | name UTF-8 | ndim u8 | dims u32 * ndim |
         dtype u8 (0 = float32, 1 = uint8) | payload, row-major
 
-Weights are stored as float32; all in-memory arithmetic stays float64, so the
-file is the precision boundary. Writers are deterministic: identical inputs
-produce byte-identical files. Readers reject anything a writer could not have
-produced, with a diagnostic.
+Weights are float32 on disk and in memory: a model read back is the payload
+of its file, and arithmetic widens the weights to float64 where it reads them.
+Writers are deterministic: identical inputs produce byte-identical files.
+Readers reject anything a writer could not have produced, with a diagnostic.
 """
 
 import csv
@@ -85,9 +85,11 @@ def _read_exact(f, count: int, what: str) -> bytes:
 
 def _read_container(path, kind=None, convert=lambda name, array: array) -> tuple[dict, dict[str, np.ndarray]]:
     """The header and every tensor, each passed through convert(name, array)
-    as soon as its payload is read: only the result is kept, so a reader
-    that converts holds at most one payload at a time. With a kind, a header
-    of another kind is rejected before any tensor is read."""
+    as soon as its payload is read. The array is a read-only view of the
+    payload, and only the result is kept: a reader that converts holds at
+    most one payload at a time, and one that keeps the view (the model
+    reader) holds the payloads and no copy. With a kind, a header of another
+    kind is rejected before any tensor is read."""
     with open(path, "rb") as f:
         if _read_exact(f, 4, "magic") != MAGIC:
             raise FormatError(f"bad magic in {path}; expected OPSH container")
@@ -137,7 +139,7 @@ def write_model(path, weights: ModelWeights) -> None:
 def _weights(name: str, array: np.ndarray) -> np.ndarray:
     if array.dtype != _DTYPES[DTYPE_F32]:
         raise FormatError(f"model tensor {name!r}: expected float32, got {array.dtype}")
-    return array.astype(np.float64)
+    return array
 
 
 def read_model(path) -> ModelWeights:
@@ -162,7 +164,9 @@ def read_model(path) -> ModelWeights:
     for name, shape in shapes.items():
         if tensors[name].shape != shape:
             raise FormatError(f"tensor {name!r} has shape {tensors[name].shape}, expected {shape}")
-        if not np.isfinite(tensors[name]).all():
+        # The least and the greatest entry are NaN if any entry is, and
+        # infinite if any is; unlike isfinite, they build no array.
+        if not (np.isfinite(tensors[name].min()) and np.isfinite(tensors[name].max())):
             raise FormatError(f"tensor {name!r} holds non-finite values")
     return ModelWeights(config, tensors)
 

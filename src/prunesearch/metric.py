@@ -207,7 +207,9 @@ def transform_activations(v: np.ndarray, transform: Transform) -> np.ndarray:
 
 
 def weight_factor(w: np.ndarray, config: MetricConfig) -> np.ndarray:
-    """The weight side alpha(|W|) * F1(|W|), output x input."""
+    """The weight side alpha(|W|) * F1(|W|), output x input, in float64
+    whatever the dtype of w."""
+    w = np.asarray(w, dtype=np.float64)
     return weight_coefficient(w, config.alpha) * transform_weights(w, config.f1)
 
 
@@ -234,7 +236,8 @@ def check_stats(stats: dict, shapes: dict[str, tuple[int, int]]) -> None:
 
 
 def score(w: np.ndarray, stats: SubModuleStats, kind: MetricKind) -> np.ndarray:
-    """Importance scores for an output x input weight matrix.
+    """Importance scores for an output x input weight matrix, in float64
+    whatever the dtype of w.
 
     The stats must cover every input column for every kind, magnitude
     included, so stats from a different model are rejected.
@@ -244,7 +247,7 @@ def score(w: np.ndarray, stats: SubModuleStats, kind: MetricKind) -> np.ndarray:
             f"stats cover {stats.v.size} input features but weight matrix has {w.shape[1]} columns"
         )
     if isinstance(kind, Magnitude):
-        return np.abs(w)
+        return np.abs(np.asarray(w, dtype=np.float64))
     return weight_factor(w, kind) * activation_factor(stats, kind)[None, :]
 
 

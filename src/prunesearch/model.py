@@ -55,10 +55,14 @@ class ModelConfig:
 
 @dataclass(eq=False)
 class ModelWeights:
-    """The in-memory model: its config and every tensor as a float64 array
-    under its tensor_shapes name, in file order ("token_embedding",
+    """The in-memory model: its config and every tensor as an array under its
+    tensor_shapes name, in file order ("token_embedding",
     "position_embedding", "layer.L.q" ... "layer.L.mlp_norm", "final_norm").
-    The token embedding is also the tied output head."""
+    The token embedding is also the tied output head.
+
+    Tensors are float32, as in the file, from init_model and read_model
+    alike; arithmetic widens them to float64 where it reads them, which is
+    exact, so a float64 copy of a model gives the same bits everywhere."""
 
     config: ModelConfig
     tensors: dict[str, np.ndarray]
@@ -107,11 +111,12 @@ def init_model(config: ModelConfig, seed: int) -> ModelWeights:
     """Draw every embedding/linear weight i.i.d. from N(0, 0.02^2), seeded.
 
     Norm gains start at 1. Identical (config, seed) pairs produce bit-identical
-    weights; matrices are drawn in tensor_shapes order.
+    weights; matrices are drawn in float64 in tensor_shapes order and rounded
+    to float32, so a model built here equals its file copy bit for bit.
     """
     rng = np.random.default_rng(seed)
     tensors = {
-        name: rng.normal(0.0, INIT_STD, size=shape) if len(shape) == 2 else np.ones(shape)
+        name: (rng.normal(0.0, INIT_STD, size=shape) if len(shape) == 2 else np.ones(shape)).astype(np.float32)
         for name, shape in tensor_shapes(config).items()
     }
     return ModelWeights(config, tensors)
@@ -203,7 +208,9 @@ def forward(weights: ModelWeights, tokens, capture: bool = False) -> ForwardTrac
     ids = token_ids(cfg, tokens)
     t = ids.size
     tensors = weights.tensors
-    x = tensors["token_embedding"][ids] + tensors["position_embedding"][:t]
+    # The only sum of two weight tensors: widened first. Everywhere else a
+    # float64 activation meets the weights, and numpy widens them exactly.
+    x = tensors["token_embedding"][ids].astype(np.float64) + tensors["position_embedding"][:t]
     captured: dict[str, np.ndarray] | None = {} if capture else None
 
     for keys in _block_keys(cfg):

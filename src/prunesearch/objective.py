@@ -141,6 +141,9 @@ class EvalContext:
     per prunable weight) per distinct mask set and lives as long as the
     context. `workers`, set only inside scoring_workers, is the process pool
     that scores new mask sets; without it they are scored in this process.
+    `weights` is the model widened to float64 once by make_context: the
+    context runs a forward per sequence per new mask set, and each forward
+    of float32 weights would widen every matrix it multiplies.
     """
 
     weights: ModelWeights
@@ -153,6 +156,7 @@ class EvalContext:
 
 
 def make_context(weights: ModelWeights, calib: CalibrationSet, spec: SparsitySpec) -> EvalContext:
+    weights = ModelWeights(weights.config, {name: t.astype(np.float64) for name, t in weights.tensors.items()})
     return EvalContext(
         weights=weights,
         stats=collect_activation_stats(weights, calib),

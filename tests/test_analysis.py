@@ -10,6 +10,7 @@ from prunesearch.model import (
     SUB_MODULES,
     ModelConfig,
     ModelWeights,
+    init_model,
     sub_module_key,
     sub_module_shapes,
     tensor_shapes,
@@ -80,7 +81,9 @@ def test_model_mean_is_mean_of_layer_means(mini_weights, mini_stats):
 
 def _naive_sums(w_oi, stats, cfg):
     """Independent reimplementation with plain loops, straight from the
-    coefficient and transformation definitions."""
+    coefficient and transformation definitions, in float64 as the metric
+    computes whatever the weights' dtype."""
+    w_oi = np.asarray(w_oi, dtype=np.float64)
     a = np.abs(w_oi)
     m, n = a.shape
     row = a.sum(axis=1)
@@ -184,6 +187,28 @@ def test_distribution_zero_weights():
     stats = flat_stats(model, [0.5, 0.5])
     report = distribution_summary(model, stats)
     assert [layer["weight_l1_mean"] for layer in report["layers"]] == [0.0]
+
+
+def test_float32_weights_report_like_their_float64_copy():
+    # gate, up and down hold 256 x 1024 weights, past numpy's 8192-element
+    # reduction buffer: a sum that reads float32 in buffered chunks, as
+    # sum(dtype=np.float64) does, gives other bits than the widened sum.
+    # Seed 2 draws weights on which that moves the layer mean.
+    config = ModelConfig(vocab_size=4, d_model=256, n_layers=1, n_heads=1, d_ff=1024, max_seq_len=4)
+    drawn = init_model(config, 2)
+    narrow, wide = (ModelWeights(config, {name: w.astype(dtype) for name, w in drawn.tensors.items()})
+                    for dtype in (np.float32, np.float64))
+    rng = np.random.default_rng(5)
+    stats = {}
+    for key, (inputs, _) in sub_module_shapes(config).items():
+        v = rng.random(inputs) + 0.1
+        stats[key] = SubModuleStats(v=v, l1=v, token_count=4)
+    report = distribution_summary(narrow, stats)
+    assert report == distribution_summary(wide, stats)
+    chunked = [float(abs(narrow.tensors[sub_module_key(0, name)]).sum(dtype=np.float64)) for name in SUB_MODULES]
+    assert report["layers"][0]["weight_l1_mean"] != sum(chunked) / len(chunked)
+    for kind in (preset("optishear-l2-gsm8k"), preset("ria")):
+        assert alignment_discrepancy(narrow, stats, kind) == alignment_discrepancy(wide, stats, kind)
 
 
 def test_emit_json_round_trip(tmp_path, mini_weights, mini_stats):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from prunesearch import io as storage
 from prunesearch.cli import run
 from prunesearch.metric import preset
-from prunesearch.model import ModelConfig, ModelWeights, init_model, tensor_shapes
+from prunesearch.model import ModelConfig, ModelWeights, init_model, sub_module_shapes, tensor_shapes
 from prunesearch.objective import CalibrationSet, collect_activation_stats, synthetic_calibration
 from prunesearch.prune import Mask, SemiStructured, prune_model
 from prunesearch.search import SearchParams, nsga2_search
@@ -29,6 +29,16 @@ def test_model_round_trip_is_stable(tmp_path, mini_weights):
     assert loaded.config == mini_weights.config
     # values survive at 32-bit precision
     np.testing.assert_allclose(loaded.tensors["layer.0.q"], mini_weights.tensors["layer.0.q"], atol=1e-6)
+
+
+def test_read_model_returns_the_float32_tensors_init_model_built(tmp_path, mini_weights):
+    path = tmp_path / "model.opsh"
+    storage.write_model(path, mini_weights)
+    loaded = storage.read_model(path)
+    assert list(loaded.tensors) == list(mini_weights.tensors)
+    for name, array in loaded.tensors.items():
+        assert array.dtype == np.float32
+        assert array.tobytes() == mini_weights.tensors[name].tobytes()
 
 
 def test_model_file_lists_expected_tensors(tmp_path, mini_weights):
@@ -110,6 +120,17 @@ def test_read_model_rejects_non_finite_weights(tmp_path, mini_weights):
         storage.read_model(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("index", [0, 1, 511, 1023])
+def test_read_model_rejects_each_non_finite_value_anywhere(tmp_path, mini_weights, value, index):
+    emb = mini_weights.tensors["token_embedding"].copy()  # 64 x 16
+    emb.reshape(-1)[index] = value
+    path = tmp_path / "model.opsh"
+    storage.write_model(path, ModelWeights(mini_weights.config, {**mini_weights.tensors, "token_embedding": emb}))
+    with pytest.raises(storage.FormatError, match="'token_embedding' holds non-finite values"):
+        storage.read_model(path)
+
+
 def _write_model_with_nan_and_a_renamed_tensor(path, weights):
     # layer.0.q holds a NaN and comes first in the file; layer.0.k, after it,
     # is stored under another name.
@@ -186,7 +207,7 @@ def _traced_peak(fn, *args):
 
 def _memory_model(tmp_path):
     sizes = [math.prod(shape) for shape in tensor_shapes(_MEMORY_CONFIG).values()]
-    return init_model(_MEMORY_CONFIG, 3), tmp_path / "model.opsh", 8 * sum(sizes), 4 * max(sizes)
+    return init_model(_MEMORY_CONFIG, 3), tmp_path / "model.opsh", 4 * sum(sizes), 4 * max(sizes)
 
 
 def test_write_model_holds_one_float32_copy_at_a_time(tmp_path):
@@ -194,13 +215,35 @@ def test_write_model_holds_one_float32_copy_at_a_time(tmp_path):
     assert _traced_peak(storage.write_model, path, weights) <= largest_float32 + 2**18
 
 
+def test_write_model_converts_a_float64_model_one_tensor_at_a_time(tmp_path):
+    # A float64 model, such as the one make_context widens, is written from
+    # one float32 copy at a time, as the file holds it.
+    weights, path, _, largest_float32 = _memory_model(tmp_path)
+    wide = ModelWeights(weights.config, {name: w.astype(np.float64) for name, w in weights.tensors.items()})
+    assert _traced_peak(storage.write_model, path, wide) <= largest_float32 + 2**18
+    storage.write_model(tmp_path / "narrow.opsh", weights)
+    assert path.read_bytes() == (tmp_path / "narrow.opsh").read_bytes()
+
+
 def test_read_model_holds_one_float32_payload_at_a_time(tmp_path):
-    weights, path, float64_total, largest_float32 = _memory_model(tmp_path)
+    weights, path, float32_total, _ = _memory_model(tmp_path)
     storage.write_model(path, weights)
     del weights
-    # The float64 model is the result; beside it the reader may hold the
-    # payload it is converting, and nothing else of size.
-    assert _traced_peak(storage.read_model, path) <= float64_total + largest_float32 + 2**20
+    # The model is its float32 payloads, kept as read: no copy of any size.
+    assert _traced_peak(storage.read_model, path) <= float32_total + 2**20
+
+
+def test_prune_model_holds_float32_weights_and_one_float64_sub_module(tmp_path):
+    weights, path, _, _ = _memory_model(tmp_path)
+    storage.write_model(path, weights)
+    weights = storage.read_model(path)
+    stats = collect_activation_stats(weights, CalibrationSet(sequences=((1, 2, 3, 4, 5, 6, 7, 8),)))
+    sizes = [math.prod(shape) for shape in sub_module_shapes(_MEMORY_CONFIG).values()]
+    # The result is a float32 pruned copy of the sub-modules (the rest is
+    # shared) and its masks, one byte per weight; beside them scoring may
+    # hold one sub-module widened to float64, and 1 MiB of smaller arrays.
+    bound = 4 * sum(sizes) + sum(sizes) + 8 * max(sizes) + 2**20
+    assert _traced_peak(prune_model, weights, stats, preset("ria"), SemiStructured(2, 4)) <= bound
 
 
 def test_read_model_rejects_a_tensor_name_that_is_not_utf8(tmp_path, mini_weights):

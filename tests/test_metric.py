@@ -18,6 +18,7 @@ from prunesearch.metric import (
     transform_activations,
     transform_weights,
     weight_coefficient,
+    weight_factor,
 )
 from prunesearch.prune import Unstructured, build_mask
 from prunesearch.search import all_configs
@@ -237,3 +238,22 @@ class TestMaskProperties:
             else:
                 by_key[key] = bits
         assert len(by_key) == 3 * 3 * 7 * 7
+
+
+def test_float32_weights_score_like_their_float64_copy():
+    # One 256 x 1024 matrix, past numpy's 8192-element reduction buffer: a sum
+    # that reads float32 in buffered chunks, as sum(dtype=np.float64) does,
+    # gives other bits than the widened sum. Scored as stored (C order) and
+    # as packed_mask_sets reads it (a transposed view).
+    stored = np.random.default_rng(22).normal(0.0, 0.02, size=(256, 1024)).astype(np.float32)
+    for w in (stored, stored.T):
+        wide = w.astype(np.float64)
+        stats = stats_for(np.random.default_rng(5).random(w.shape[1]) + 0.1)
+        for alpha in Coeff:
+            for f1 in Transform:
+                cfg = MetricConfig(alpha, Coeff.UNIFORM, f1, Transform.IDENTITY)
+                assert weight_factor(w, cfg).tobytes() == weight_factor(wide, cfg).tobytes()
+        for kind in (MAGNITUDE, preset("ria"), preset("optishear-l2-gsm8k")):
+            scores = score(w, stats, kind)
+            assert scores.dtype == np.float64
+            assert scores.tobytes() == score(wide, stats, kind).tobytes()

@@ -40,6 +40,10 @@ def test_init_seed_changes_weights(mini_config):
     assert _weight_bytes(a) != _weight_bytes(b)
 
 
+def test_init_rounds_every_tensor_to_float32(mini_weights):
+    assert all(array.dtype == np.float32 for array in mini_weights.tensors.values())
+
+
 def test_init_norm_gains_are_ones(mini_weights):
     assert np.array_equal(mini_weights.tensors["final_norm"], np.ones(mini_weights.config.d_model))
     for i in range(mini_weights.config.n_layers):
@@ -147,6 +151,25 @@ def test_long_forward_is_bit_identical_to_reference_attention(monkeypatch, t):
     # 8 heads over sequences past ATTENTION_ROWS: 7, 3 and 3 heads per group.
     weights = init_model(ModelConfig(vocab_size=64, d_model=32, n_layers=2, n_heads=8, d_ff=48, max_seq_len=160), 5)
     _assert_forward_matches_reference_attention(weights, t, monkeypatch)
+
+
+@pytest.mark.parametrize("config, t", [
+    (None, 16),  # the mini fixture
+    (ModelConfig(vocab_size=128, d_model=32, n_layers=2, n_heads=4, d_ff=64, max_seq_len=64), 64),
+    (ModelConfig(vocab_size=64, d_model=32, n_layers=2, n_heads=8, d_ff=48, max_seq_len=160), 130),
+], ids=["mini", "acceptance", "long-8-heads"])
+def test_float32_forward_is_bit_identical_to_its_float64_copy(mini_weights, config, t):
+    drawn = mini_weights if config is None else init_model(config, 42)
+    weights, wide = (ModelWeights(drawn.config, {name: w.astype(dtype) for name, w in drawn.tensors.items()})
+                     for dtype in (np.float32, np.float64))
+    tokens = np.random.default_rng(t).integers(0, weights.config.vocab_size, size=t)
+    actual = forward(weights, tokens, capture=True)
+    expected = forward(wide, tokens, capture=True)
+    assert actual.final_hidden.dtype == np.float64
+    assert actual.final_hidden.tobytes() == expected.final_hidden.tobytes()
+    assert list(actual.captured_inputs) == list(expected.captured_inputs)
+    for key, value in expected.captured_inputs.items():
+        assert actual.captured_inputs[key].tobytes() == value.tobytes()
 
 
 @pytest.mark.parametrize("t, heads, groups", [(64, 8, [8]), (65, 8, [7, 1]), (256, 8, [2, 2, 2, 2]), (256, 2, [1, 1])])
