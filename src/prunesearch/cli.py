@@ -224,7 +224,7 @@ def _cmd_search(args) -> int:
     storage.write_results(result, args.out, _csv_sibling(args.out))
     print(
         f"{result.algorithm}: best {result.best_config} l_div {result.best_l_div!r} "
-        f"({result.evaluations_used} evaluations, {result.distinct_configs_evaluated} distinct)"
+        f"({result.evaluations_used} evaluations)"
     )
     return 0
 

@@ -298,7 +298,6 @@ def write_results(result: SearchResult, json_path, csv_path) -> None:
         "seed": result.seed,
         "budget": result.budget,
         "evaluations_used": result.evaluations_used,
-        "distinct_configs_evaluated": result.distinct_configs_evaluated,
         "best": _trial_row(0, result.best_config, result.best_l_div) | {"trial": None},
         "trials": [_trial_row(i, cfg, l_div) for i, cfg, l_div in result.trials],
     }

@@ -226,7 +226,7 @@ def test_criterion_9_budget_accounting(fixture_ctx, oracle):
     no_dup_budget = partial.evaluations_used == len(set(configs)) == 80
 
     bounded = all(
-        r.distinct_configs_evaluated <= min(r.budget, SPACE_SIZE) for r in (sweep, partial)
+        r.evaluations_used <= min(r.budget, SPACE_SIZE) for r in (sweep, partial)
     )
     _report(9, "budget accounting", exact_min and no_dup_budget and bounded,
             f"random class sweep min {sweep.best_l_div:.6e} == oracle min exactly: {exact_min}; "

@@ -1,98 +1,186 @@
 import numpy as np
 import pytest
 
-from prunesearch.metric import MASK_CLASS_COUNT, mask_equivalence_key
+from prunesearch.metric import MASK_CLASS_COUNT, MetricConfig, mask_equivalence_key
 from prunesearch.objective import make_context
 from prunesearch.prune import Unstructured
 from prunesearch.search import (
-    ETA_M,
     GENE_COUNT,
-    GENE_MAX,
+    P_MUTATION,
     SearchParams,
-    _class_key,
     _escape_duplicate,
+    _initial_population,
     all_configs,
-    decode,
     environmental_selection,
     exhaustive_search,
     nsga2_search,
-    polynomial_mutation,
     random_search,
-    sbx_crossover,
+    resample_mutation,
+    uniform_crossover,
 )
 
 
-class FakeRng:
-    """Replays a fixed sequence of uniform draws."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def random(self):
-        return self.values.pop(0)
+def _random_genome(rng) -> tuple:
+    return tuple(rng.integers(0, 7, size=GENE_COUNT).tolist())
 
 
-class TestDecode:
-    def test_zero_genome(self):
-        assert decode([0.0, 0.0, 0.0, 0.0]).codes == (0, 0, 0, 0)
-
-    def test_boundary_clamp(self):
-        assert decode([0.999, 0.999, 0.999, 0.999]).codes == (6, 6, 6, 6)
-
-    def test_midpoint(self):
-        assert decode([0.5, 0.0, 0.0, 0.0]).codes == (3, 0, 0, 0)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            decode([1.0, 0.0, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            decode([-0.1, 0.0, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            decode([0.1, 0.2, 0.3])
+def test_uniform_crossover_children_are_complementary():
+    # Each slot of the first child comes from one parent and the second child
+    # holds the other parent's code there.
+    rng = np.random.default_rng(4)
+    for _ in range(300):
+        p1, p2 = _random_genome(rng), _random_genome(rng)
+        c1, c2 = uniform_crossover(p1, p2, rng)
+        for slot in range(GENE_COUNT):
+            assert (c1[slot], c2[slot]) in {(p1[slot], p2[slot]), (p2[slot], p1[slot])}
 
 
-def test_class_key_matches_decoded_key_for_every_code_tuple():
-    # The search's fast key must name the same mask class as decoding the
-    # genome, mid-cell and on both sides of every cell edge k/7; and both
-    # share one gene-to-code rule, so that rule is checked against a
-    # vectorised reference too.
-    def gene_choices(code):
-        edge = code / 7.0
-        top = GENE_MAX if code == 6 else np.nextafter((code + 1) / 7.0, 0.0)
-        return (edge, np.nextafter(edge, 1.0), (code + 0.5) / 7.0, np.nextafter(edge, 0.0), top)
+def test_uniform_crossover_of_equal_parents_returns_them():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        p = _random_genome(rng)
+        assert uniform_crossover(p, p, rng) == (p, p)
 
-    for cfg in all_configs():
-        for position in range(5):
-            genes = np.array([gene_choices(c)[position] for c in cfg.codes])
-            assert _class_key(genes) == mask_equivalence_key(decode(genes).codes), genes.tolist()
-            reference = np.minimum((genes * 7).astype(np.int64), 6)
-            assert decode(genes).codes == tuple(reference.tolist()), genes.tolist()
+
+def test_uniform_crossover_swaps_the_slots_of_its_one_draw():
+    # One rng.random(4) draw decides the swaps: child 1 takes the second
+    # parent's code where the draw is below 1/2.
+    p1, p2 = (0, 1, 2, 3), (6, 5, 4, 3)
+    for seed in range(40):
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        swap = reference.random(GENE_COUNT) < 0.5
+        c1, c2 = uniform_crossover(p1, p2, rng)
+        assert c1 == tuple(b if s else a for a, b, s in zip(p1, p2, swap))
+        assert c2 == tuple(a if s else b for a, b, s in zip(p1, p2, swap))
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_uniform_crossover_swaps_each_slot_half_the_time():
+    rng = np.random.default_rng(6)
+    swaps = np.zeros(GENE_COUNT)
+    trials = 4000
+    for _ in range(trials):
+        c1, _ = uniform_crossover((0, 0, 0, 0), (1, 1, 1, 1), rng)
+        swaps += np.array(c1)
+    assert np.all(np.abs(swaps / trials - 0.5) < 0.03), swaps / trials
+
+
+class TestResampleMutation:
+    def test_zero_probability_is_identity(self):
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            genome = _random_genome(rng)
+            assert resample_mutation(genome, 0.0, rng) == genome
+
+    def test_probability_one_reaches_every_other_code(self):
+        rng = np.random.default_rng(1)
+        reached = {(slot, code): set() for slot in range(GENE_COUNT) for code in range(7)}
+        for _ in range(2000):
+            genome = _random_genome(rng)
+            out = resample_mutation(genome, 1.0, rng)
+            for slot, (old, new) in enumerate(zip(genome, out)):
+                assert new != old and 0 <= new <= 6
+                reached[slot, old].add(new)
+        assert all(codes == set(range(7)) - {old} for (_, old), codes in reached.items())
+
+    def test_replays_its_draw_order(self):
+        # Per slot in order: one random() against p, then, on a hit, one
+        # integers(0, 6) that skips the old code.
+        class ReplayRng:
+            def __init__(self, uniforms, ints):
+                self.uniforms, self.ints = list(uniforms), list(ints)
+
+            def random(self):
+                return self.uniforms.pop(0)
+
+            def integers(self, low, high):
+                assert (low, high) == (0, 6)
+                return self.ints.pop(0)
+
+        rng = ReplayRng([0.1, 0.2, 0.7, 0.4], [2, 3, 5])
+        assert resample_mutation((3, 3, 3, 0), 0.5, rng) == (2, 4, 3, 6)
+        assert rng.uniforms == [] and rng.ints == []
+
+    @pytest.mark.parametrize("p", [0.25, 0.5])
+    def test_outputs_are_valid_genomes(self, p):
+        rng = np.random.default_rng(2)
+        for _ in range(500):
+            out = resample_mutation(_random_genome(rng), p, rng)
+            assert isinstance(out, tuple) and len(out) == GENE_COUNT
+            assert all(isinstance(code, int) and 0 <= code <= 6 for code in out)
+
+    def test_each_slot_mutates_with_probability_p(self):
+        rng = np.random.default_rng(3)
+        changed = np.zeros(GENE_COUNT)
+        trials = 4000
+        for _ in range(trials):
+            genome = _random_genome(rng)
+            out = resample_mutation(genome, P_MUTATION, rng)
+            changed += np.array(out) != np.array(genome)
+        assert np.all(np.abs(changed / trials - P_MUTATION) < 0.03), changed / trials
+
+    def test_new_code_is_uniform_over_the_other_six(self):
+        rng = np.random.default_rng(7)
+        counts = np.zeros(7)
+        for _ in range(3000):
+            for code in resample_mutation((3, 3, 3, 3), 1.0, rng):
+                counts[code] += 1
+        assert counts[3] == 0
+        share = np.delete(counts, 3) / counts.sum()
+        assert np.all(np.abs(share - 1 / 6) < 0.015), share
+
+
+class TestInitialPopulation:
+    def test_draws_four_codes_per_try_and_skips_known_classes(self):
+        # The reference redraws exactly as the search should: one
+        # integers(0, 7, size=4) per try, kept when its mask class is new.
+        for seed, population in ((0, 2), (1, 24), (2, 200)):
+            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            expected, seen = [], set()
+            while len(expected) < population:
+                genome = tuple(int(c) for c in reference.integers(0, 7, size=GENE_COUNT))
+                if mask_equivalence_key(genome) not in seen:
+                    seen.add(mask_equivalence_key(genome))
+                    expected.append(genome)
+            assert _initial_population(rng, population) == expected
+            assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_fills_all_but_one_mask_class(self):
+        genomes = _initial_population(np.random.default_rng(4), MASK_CLASS_COUNT - 1)
+        assert len({mask_equivalence_key(g) for g in genomes}) == MASK_CLASS_COUNT - 1
+        assert all(isinstance(g, tuple) and len(g) == GENE_COUNT for g in genomes)
+        assert all(isinstance(c, int) and 0 <= c <= 6 for g in genomes for c in g)
+
+
+def test_escape_duplicate_returns_a_free_child_without_drawing():
+    rng = np.random.default_rng(8)
+    state = rng.bit_generator.state
+    child = (1, 2, 3, 4)
+    others = {mask_equivalence_key(cfg.codes) for cfg in all_configs()} - {mask_equivalence_key(child)}
+    assert _escape_duplicate(child, others, [(0, 0, 0, 0)], rng) is child
+    assert rng.bit_generator.state == state
 
 
 def _escape_duplicate_reference(child, taken, elites, rng):
-    """The duplicate escape with its elite sweep written the plain way: one
-    genome copy per single-slot variant, keyed by decoding. Returns the genome
-    and the stage that produced it."""
-    def free(genes):
-        return mask_equivalence_key(decode(genes).codes) not in taken
+    """The duplicate escape written the plain way: one list copy per
+    single-slot variant, keyed through its config. Returns the genome and the
+    stage that produced it."""
+    def free(codes):
+        return mask_equivalence_key(MetricConfig.from_codes(codes).codes) not in taken
 
     if free(child):
         return child, "child"
     for _ in range(2):
-        candidate = polynomial_mutation(child, ETA_M, 1.0, rng)
+        candidate = resample_mutation(child, P_MUTATION, rng)
         if free(candidate):
             return candidate, "re-mutation"
     for elite in elites:
         for slot in range(GENE_COUNT):
             for code in range(7):
-                candidate = elite.copy()
-                candidate[slot] = (code + 0.5) / 7.0
+                candidate = list(elite)
+                candidate[slot] = code
                 if free(candidate):
-                    return candidate, "elite sweep"
-    for _ in range(8):
-        candidate = np.clip(rng.random(GENE_COUNT), 0.0, GENE_MAX)
-        if free(candidate):
-            return candidate, "restart"
+                    return tuple(candidate), "elite sweep"
     return child, "unchanged"
 
 
@@ -106,70 +194,16 @@ def test_escape_duplicate_matches_the_copy_per_variant_reference():
     for case in range(600):
         density = (0.0, 0.5, 0.9, 0.97, 0.995, 1.0)[case % 6]
         taken = {key for key in keys if cases.random() < density}
-        elites = [np.clip(cases.random(GENE_COUNT), 0.0, GENE_MAX) for _ in range(int(cases.integers(1, 13)))]
-        child = np.clip(cases.random(GENE_COUNT), 0.0, GENE_MAX)
+        elites = [_random_genome(cases) for _ in range(int(cases.integers(1, 13)))]
+        child = _random_genome(cases)
         seed = int(cases.integers(2**32))
         rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         expected, stage = _escape_duplicate_reference(child, taken, elites, reference_rng)
         got = _escape_duplicate(child, taken, elites, rng)
-        assert np.array_equal(got, expected), (case, stage)
+        assert got == expected, (case, stage)
         assert rng.bit_generator.state == reference_rng.bit_generator.state, (case, stage)
         stages.add(stage)
-    assert stages == {"child", "re-mutation", "elite sweep", "restart", "unchanged"}
-
-
-class TestSbx:
-    def test_u_half_returns_parents(self):
-        p1 = np.array([0.1, 0.2, 0.3, 0.4])
-        p2 = np.array([0.5, 0.6, 0.7, 0.8])
-        c1, c2 = sbx_crossover(p1, p2, 15.0, FakeRng([0.5] * 4))
-        np.testing.assert_allclose(c1, p1, rtol=1e-12)
-        np.testing.assert_allclose(c2, p2, rtol=1e-12)
-
-    def test_children_sum_to_parent_sum(self):
-        # Mid-range parents keep the children inside [0,1), so no clipping.
-        p1 = np.array([0.40, 0.45, 0.50, 0.55])
-        p2 = np.array([0.60, 0.55, 0.50, 0.45])
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            c1, c2 = sbx_crossover(p1, p2, 15.0, rng)
-            np.testing.assert_allclose(c1 + c2, p1 + p2, rtol=1e-10)
-
-    def test_equal_parents_fixed_point(self):
-        p = np.array([0.3, 0.3, 0.3, 0.3])
-        c1, c2 = sbx_crossover(p, p, 15.0, np.random.default_rng(1))
-        np.testing.assert_allclose(c1, p, rtol=1e-12)
-        np.testing.assert_allclose(c2, p, rtol=1e-12)
-
-    def test_children_stay_in_range(self):
-        rng = np.random.default_rng(2)
-        for _ in range(200):
-            p1 = rng.random(4)
-            p2 = rng.random(4)
-            c1, c2 = sbx_crossover(p1, p2, 15.0, rng)
-            for child in (c1, c2):
-                assert (child >= 0.0).all() and (child < 1.0).all()
-
-
-class TestMutation:
-    def test_zero_probability_is_identity(self):
-        g = np.array([0.1, 0.4, 0.6, 0.9])
-        out = polynomial_mutation(g, 20.0, 0.0, np.random.default_rng(0))
-        assert np.array_equal(out, g)
-
-    def test_u_half_gives_zero_delta(self):
-        g = np.array([0.25, 0.25, 0.25, 0.25])
-        # Gene 0 mutates with u=0.5 (delta 0); the rest never trigger.
-        rng = FakeRng([0.0, 0.5, 0.9, 0.9, 0.9])
-        out = polynomial_mutation(g, 20.0, 0.25, rng)
-        np.testing.assert_allclose(out, g, rtol=1e-12)
-
-    def test_outputs_stay_in_range(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            g = rng.random(4)
-            out = polynomial_mutation(g, 20.0, 1.0, rng)
-            assert (out >= 0.0).all() and (out < 1.0).all()
+    assert stages == {"child", "re-mutation", "elite sweep", "unchanged"}
 
 
 def test_environmental_selection_is_plain_fitness_sort():
@@ -205,7 +239,6 @@ class TestNsga2:
         result = nsga2_search(mini_ctx, params)
         assert len(result.trials) == 8
         assert result.evaluations_used == 8
-        assert result.distinct_configs_evaluated == 8
 
     def test_same_seed_same_result(self, mini_ctx):
         a = nsga2_search(mini_ctx, SearchParams(population=8, budget=40, seed=9))
@@ -217,7 +250,6 @@ class TestNsga2:
     def test_accounting_invariants(self, mini_ctx):
         result = nsga2_search(mini_ctx, SearchParams(population=8, budget=60, seed=2))
         assert result.evaluations_used <= 60
-        assert result.distinct_configs_evaluated == result.evaluations_used
         assert result.best_l_div == min(t[2] for t in result.trials)
         assert result.best_l_div <= result.trials[0][2]
         # trial indices are consecutive
@@ -234,6 +266,15 @@ class TestNsga2:
         assert a.trials == b.trials
         assert (a.best_config, a.best_l_div) == (b.best_config, b.best_l_div)
         assert a.evaluations_used == b.evaluations_used
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_every_evaluation_is_a_new_mask_class(self, mini_ctx, seed):
+        # The initial draw and the duplicate escape keep the search off mask
+        # classes it has already paid for while unexplored ones are at hand.
+        result = nsga2_search(mini_ctx, SearchParams(population=8, budget=60, seed=seed))
+        evaluated = {cfg for _, cfg, _ in result.trials}
+        assert len(evaluated) == result.evaluations_used
+        assert len({mask_equivalence_key(cfg.codes) for cfg in evaluated}) == len(evaluated)
 
     def test_memoized_duplicates_are_bit_identical(self, mini_ctx):
         result = nsga2_search(mini_ctx, SearchParams(population=8, budget=60, seed=2))
