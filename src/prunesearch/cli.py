@@ -14,8 +14,15 @@ from . import io as storage
 from .analysis import alignment_discrepancy, distribution_summary, emit_report
 from .metric import PRESET_NAMES, MetricKind, parse_kind
 from .model import ModelConfig, init_model
-from .objective import collect_activation_stats, make_context, model_divergence, scoring_workers, synthetic_calibration
-from .prune import SparsitySpec, parse_sparsity, prune_model
+from .objective import (
+    collect_activation_stats,
+    dense_hidden_cache,
+    divergence,
+    make_context,
+    scoring_workers,
+    synthetic_calibration,
+)
+from .prune import SparsitySpec, parse_sparsity, prune_masks
 from .search import SearchParams, exhaustive_search, nsga2_search, random_search
 
 _METRIC_HELP = (
@@ -188,8 +195,8 @@ def _cmd_stats(args) -> int:
 def _cmd_prune(args) -> int:
     weights = storage.read_model(args.model)
     stats = storage.read_stats(args.stats)
-    pruned, masks = prune_model(weights, stats, args.metric, args.sparsity)
-    storage.write_model(args.out, pruned)
+    masks = prune_masks(weights, stats, args.metric, args.sparsity)
+    storage.write_model(args.out, weights, masks)
     if args.masks_out:
         storage.write_masks(args.masks_out, masks)
     # The mean over sub-modules of the fraction of weights each mask drops.
@@ -199,10 +206,16 @@ def _cmd_prune(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    # One model at a time: the dense pass makes the hidden cache, and only
+    # then is the pruned model read. Its config is checked before any forward.
     dense = storage.read_model(args.dense)
-    pruned = storage.read_model(args.pruned)
+    pruned_config = storage.read_model_config(args.pruned)
     calib = storage.read_calib(args.calib)
-    print(model_divergence(dense, pruned, calib))
+    if pruned_config != dense.config:
+        raise ValueError(f"pruned model config {pruned_config} differs from the dense model's {dense.config}")
+    hidden = dense_hidden_cache(dense, calib)
+    del dense
+    print(divergence(hidden, storage.read_model(args.pruned), calib))
     return 0
 
 

@@ -18,6 +18,7 @@ import json
 import math
 import os
 import struct
+from collections.abc import Iterable
 from dataclasses import asdict
 from pathlib import Path
 
@@ -26,7 +27,7 @@ import numpy as np
 from .metric import SubModuleStats
 from .model import BLOCK_TENSORS, ModelConfig, ModelWeights, tensor_shapes
 from .objective import ActivationStats, CalibrationSet
-from .prune import Mask, MaskSet
+from .prune import Mask, MaskSet, pruned_tensors
 from .search import SearchResult
 
 MAGIC = b"OPSH"
@@ -54,14 +55,19 @@ def _parse_json(data: bytes, what: str):
 # -- binary container ---------------------------------------------------------
 
 
-def _write_container(path, header: dict, tensors: list[tuple[str, np.ndarray, int]]) -> None:
+def _write_container(
+    path, header: dict, tensors: Iterable[tuple[str, np.ndarray, int]], count: int | None = None
+) -> None:
+    """The container of `count` tensors (by default len(tensors)), each
+    written as soon as `tensors` yields it and dropped before the next is
+    asked for."""
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", VERSION))
         f.write(struct.pack("<I", len(header_bytes)))
         f.write(header_bytes)
-        f.write(struct.pack("<I", len(tensors)))
+        f.write(struct.pack("<I", len(tensors) if count is None else count))
         for name, array, dtype_code in tensors:
             name_bytes = name.encode("utf-8")
             f.write(struct.pack("<H", len(name_bytes)))
@@ -72,6 +78,7 @@ def _write_container(path, header: dict, tensors: list[tuple[str, np.ndarray, in
             f.write(struct.pack("<B", dtype_code))
             # One converted copy, written from its buffer.
             f.write(np.ascontiguousarray(array, dtype=_DTYPES[dtype_code]))
+            del array
 
 
 def _read_exact(f, count: int, what: str) -> bytes:
@@ -83,6 +90,23 @@ def _read_exact(f, count: int, what: str) -> bytes:
     return f.read(count)
 
 
+def _read_header(f, path, kind=None) -> dict:
+    """The header of the container open in f; with a kind, a header of another
+    kind is rejected."""
+    if _read_exact(f, 4, "magic") != MAGIC:
+        raise FormatError(f"bad magic in {path}; expected OPSH container")
+    (version,) = struct.unpack("<I", _read_exact(f, 4, "version"))
+    if version != VERSION:
+        raise FormatError(f"unsupported container version {version} (expected {VERSION})")
+    (header_len,) = struct.unpack("<I", _read_exact(f, 4, "header length"))
+    header = _parse_json(_read_exact(f, header_len, "header"), "bad container header")
+    if not isinstance(header, dict):
+        raise FormatError("container header must be a JSON object")
+    if kind is not None and header.get("kind") != kind:
+        raise FormatError(f"expected a {kind} container, got kind={header.get('kind')!r}")
+    return header
+
+
 def _read_container(path, kind=None, convert=lambda name, array: array) -> tuple[dict, dict[str, np.ndarray]]:
     """The header and every tensor, each passed through convert(name, array)
     as soon as its payload is read. The array is a read-only view of the
@@ -91,17 +115,7 @@ def _read_container(path, kind=None, convert=lambda name, array: array) -> tuple
     reader) holds the payloads and no copy. With a kind, a header of another
     kind is rejected before any tensor is read."""
     with open(path, "rb") as f:
-        if _read_exact(f, 4, "magic") != MAGIC:
-            raise FormatError(f"bad magic in {path}; expected OPSH container")
-        (version,) = struct.unpack("<I", _read_exact(f, 4, "version"))
-        if version != VERSION:
-            raise FormatError(f"unsupported container version {version} (expected {VERSION})")
-        (header_len,) = struct.unpack("<I", _read_exact(f, 4, "header length"))
-        header = _parse_json(_read_exact(f, header_len, "header"), "bad container header")
-        if not isinstance(header, dict):
-            raise FormatError("container header must be a JSON object")
-        if kind is not None and header.get("kind") != kind:
-            raise FormatError(f"expected a {kind} container, got kind={header.get('kind')!r}")
+        header = _read_header(f, path, kind)
         (count,) = struct.unpack("<I", _read_exact(f, 4, "tensor count"))
         tensors: dict[str, np.ndarray] = {}
         for _ in range(count):
@@ -131,9 +145,18 @@ def _read_container(path, kind=None, convert=lambda name, array: array) -> tuple
 # -- model weights ------------------------------------------------------------
 
 
-def write_model(path, weights: ModelWeights) -> None:
-    tensors = [(name, weights.tensors[name], DTYPE_F32) for name in tensor_shapes(weights.config)]
-    _write_container(path, {"kind": "model", "config": asdict(weights.config)}, tensors)
+def write_model(path, weights: ModelWeights, masks: MaskSet | None = None) -> None:
+    """The model file of weights. With masks, the file of apply_masks(weights,
+    masks): each pruned tensor is made as it is written and dropped before the
+    next, so no pruned copy of the model is held."""
+
+    def tensors():
+        for name, tensor in pruned_tensors(weights, masks or {}):
+            yield name, tensor, DTYPE_F32
+            del tensor  # before the next pruned tensor is made
+
+    _write_container(path, {"kind": "model", "config": asdict(weights.config)}, tensors(),
+                     len(tensor_shapes(weights.config)))
 
 
 def _weights(name: str, array: np.ndarray) -> np.ndarray:
@@ -142,12 +165,23 @@ def _weights(name: str, array: np.ndarray) -> np.ndarray:
     return array
 
 
-def read_model(path) -> ModelWeights:
-    header, tensors = _read_container(path, "model", _weights)
+def _model_config(header: dict) -> ModelConfig:
     try:
-        config = ModelConfig(**header["config"])
+        return ModelConfig(**header["config"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad model config record: {exc}") from None
+
+
+def read_model_config(path) -> ModelConfig:
+    """The config of a model file, from its header alone: no tensor is read,
+    so damage past the header is found only by read_model."""
+    with open(path, "rb") as f:
+        return _model_config(_read_header(f, path, "model"))
+
+
+def read_model(path) -> ModelWeights:
+    header, tensors = _read_container(path, "model", _weights)
+    config = _model_config(header)
 
     # Two embeddings, the final norm and the BLOCK_TENSORS of each layer: count
     # first, so a forged n_layers cannot build a layout or message that large.

@@ -3,7 +3,9 @@
 The fitness of a pruned model is the mean over calibration sequences of the
 per-token-averaged squared L2 distance between dense and pruned final hidden
 states. Any positive normalization preserves the ranking of configs; this one
-keeps values comparable across calibration sizes.
+keeps values comparable across calibration sizes. The dense side is a cache
+of final hidden states (tokens x d_model), made once; the dense model is not
+needed while a pruned one is scored against it.
 """
 
 import contextlib
@@ -15,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .metric import MetricKind, SubModuleStats
-from .model import ModelWeights, final_hidden_batch, forward, sub_module_shapes, token_ids
+from .model import ModelConfig, ModelWeights, final_hidden_batch, forward, sub_module_shapes, token_ids
 from .prune import SparsitySpec, apply_masks, packed_mask_sets, unpack_mask_set
 
 if TYPE_CHECKING:
@@ -59,7 +61,8 @@ def collect_activation_stats(weights: ModelWeights, calib: CalibrationSet) -> Ac
     """
     sumsq: dict[str, np.ndarray] = {}
     l1: dict[str, np.ndarray] = {}
-    for partials in _per_sequence(_stats_partials, calib, weights):
+    sequences = calib.sequences
+    for partials in _per_sequence(lambda i: _stats_partials(weights, sequences[i]), calib, weights.config):
         for key, (sq, ab) in partials.items():
             # Not in place: keys that share a captured block share its partials.
             sumsq[key] = sumsq.get(key, 0.0) + sq
@@ -86,36 +89,33 @@ def token_mean_sqdist(a: np.ndarray, b: np.ndarray) -> float:
     return float((diff * diff).sum(axis=1).mean())
 
 
+def dense_hidden_cache(dense: ModelWeights, calib: CalibrationSet) -> list[np.ndarray]:
+    """final_hidden_batch(dense, calib), one _per_sequence task per sequence:
+    the first pass of `eval`, whose workers send back hidden states."""
+    sequences = calib.sequences
+    return list(_per_sequence(lambda i: forward(dense, sequences[i]).final_hidden, calib, dense.config))
+
+
 def divergence(dense_hidden: list[np.ndarray], pruned: ModelWeights, calib: CalibrationSet) -> float:
     """Mean over sequences of the per-token mean squared hidden-state distance.
 
     dense_hidden must come from the same calibration set in the same order.
-    This float is the fitness; one that is not finite and nonnegative raises.
+    Each sequence is one _per_sequence task, which sends back its term, and
+    the terms are summed in sequence order. This float is the fitness; one
+    that is not finite and nonnegative raises.
     """
-    if len(dense_hidden) != len(calib.sequences):
-        raise ValueError(
-            f"cache holds {len(dense_hidden)} sequences, calibration has {len(calib.sequences)}"
-        )
-    terms = []
-    for ref, seq in zip(dense_hidden, calib.sequences):
-        h = forward(pruned, seq).final_hidden
-        if h.shape != ref.shape:
-            raise ValueError(f"cached hidden shape {ref.shape} does not match forward {h.shape}")
-        terms.append(token_mean_sqdist(ref, h))
-    return _mean_fitness(terms)
+    sequences = calib.sequences
+    if len(dense_hidden) != len(sequences):
+        raise ValueError(f"cache holds {len(dense_hidden)} sequences, calibration has {len(sequences)}")
+    return _mean_fitness(list(_per_sequence(
+        lambda i: _divergence_term(dense_hidden[i], pruned, sequences[i]), calib, pruned.config)))
 
 
-def model_divergence(dense: ModelWeights, pruned: ModelWeights, calib: CalibrationSet) -> float:
-    """divergence(final_hidden_batch(dense, calib), pruned, calib), with each
-    sequence run through both models in one task. A pruned model whose config
-    differs from the dense model's raises before any forward."""
-    if pruned.config != dense.config:
-        raise ValueError(f"pruned model config {pruned.config} differs from the dense model's {dense.config}")
-    return _mean_fitness(list(_per_sequence(_sequence_sqdist, calib, dense, pruned)))
-
-
-def _sequence_sqdist(dense: ModelWeights, pruned: ModelWeights, seq: tuple[int, ...]) -> float:
-    return token_mean_sqdist(forward(dense, seq).final_hidden, forward(pruned, seq).final_hidden)
+def _divergence_term(ref: np.ndarray, pruned: ModelWeights, seq: tuple[int, ...]) -> float:
+    h = forward(pruned, seq).final_hidden
+    if h.shape != ref.shape:
+        raise ValueError(f"cached hidden shape {ref.shape} does not match forward {h.shape}")
+    return token_mean_sqdist(ref, h)
 
 
 def _mean_fitness(terms: list[float]) -> float:
@@ -215,23 +215,25 @@ def _run_task(arg):
     return _worker_task(arg)
 
 
-def _per_sequence(task, calib: CalibrationSet, *models: ModelWeights) -> Iterable:
-    """task(*models, seq) for each calibration sequence, in input order.
+def _per_sequence(task, calib: CalibrationSet, config: ModelConfig) -> Iterable:
+    """task(i) for the index i of each calibration sequence, in input order.
 
-    Every sequence is checked against the first model's config at once. A pass
-    of at least POOL_MIN_MACS multiply-adds maps the sequences, longest first,
-    over a _fork_pool of the usable CPUs (at most one per sequence); any other
-    runs lazily in this process.
+    A pass of at least POOL_MIN_MACS multiply-adds checks every sequence
+    against config, then maps the sequences, longest first, over a _fork_pool
+    of the usable CPUs (at most one per sequence). Any other pass runs lazily
+    in this process, where each forward checks its own sequence, and so does
+    any pass in a pool's worker, so that a scoring worker forks no pool of
+    its own.
     """
     sequences = calib.sequences
-    for seq in sequences:
-        token_ids(models[0].config, seq)
-    macs = sum(map(len, sequences)) * sum(i * o for i, o in sub_module_shapes(models[0].config).values())
+    macs = sum(map(len, sequences)) * sum(i * o for i, o in sub_module_shapes(config).values())
     workers = worker_count(len(sequences), _usable_cpus())
-    if macs < POOL_MIN_MACS or workers == 1:
-        return (task(*models, seq) for seq in sequences)
+    if macs < POOL_MIN_MACS or workers == 1 or _worker_task is not None:
+        return map(task, range(len(sequences)))
+    for seq in sequences:
+        token_ids(config, seq)
     order = sorted(range(len(sequences)), key=lambda i: -len(sequences[i]))
-    with _fork_pool("calibration", workers, lambda i: task(*models, sequences[i])) as pool:
+    with _fork_pool("calibration", workers, task) as pool:
         done = dict(zip(order, pool.map(_run_task, order)))
     return [done[i] for i in range(len(sequences))]
 
@@ -245,7 +247,8 @@ def scoring_workers(ctx: EvalContext, jobs: int) -> Iterator[EvalContext]:
     multiprocessing is not imported. Otherwise the yielded context shares
     ctx's inputs and fitness cache, and a _fork_pool, whose workers inherit
     ctx, scores each new mask set that evaluate_configs submits: each task is
-    one packed mask set, each result one float.
+    one packed mask set, each result one float. A worker runs the divergence
+    passes of its tasks itself: _per_sequence forks no pool inside a pool.
     """
     workers = worker_count(jobs, _usable_cpus())
     if workers == 1:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metric import Magnitude, MetricKind, SubModuleStats, activation_factor, check_stats, score, weight_factor
-from .model import ModelConfig, ModelWeights, sub_module_shapes
+from .model import ModelConfig, ModelWeights, sub_module_shapes, tensor_shapes
 
 # Most scores one build_mask call of packed_mask_sets sorts, unless a single
 # matrix is larger. A group's stack of score matrices is masked in slices of
@@ -222,14 +222,28 @@ def unpack_mask_set(packed: bytes, config: ModelConfig) -> MaskSet:
     return masks
 
 
+def pruned_tensors(weights: ModelWeights, masks: MaskSet) -> Iterator[tuple[str, np.ndarray]]:
+    """(name, tensor) of the pruned copy, in file order (tensor_shapes): each
+    masked sub-module keeps its kept entries exactly and zeroes the rest, and
+    is made only when it is reached, so a consumer that drops each one holds
+    at most one. Embeddings, norm gains and unmasked sub-modules are the
+    input's arrays, which stay untouched."""
+    for name in tensor_shapes(weights.config):
+        w = weights.tensors[name]
+        yield name, w if name not in masks else np.ascontiguousarray(apply_mask(w.T, masks[name]).T)
+
+
 def apply_masks(weights: ModelWeights, masks: MaskSet) -> ModelWeights:
-    """A pruned copy: each masked sub-module keeps its kept entries exactly and
-    zeroes the rest. Embeddings, norm gains and unmasked sub-modules are
-    shared with the input, which stays untouched."""
-    tensors = dict(weights.tensors)
-    for key, mask in masks.items():
-        tensors[key] = np.ascontiguousarray(apply_mask(tensors[key].T, mask).T)
-    return ModelWeights(weights.config, tensors)
+    """The pruned copy of pruned_tensors, held whole."""
+    return ModelWeights(weights.config, dict(pruned_tensors(weights, masks)))
+
+
+def prune_masks(weights: ModelWeights, stats: dict, kind: MetricKind, spec: SparsitySpec) -> MaskSet:
+    """The masks of every prunable sub-module under one config, in output x
+    input orientation. They come from packed_mask_sets, the rule that search
+    and the exhaustive oracle use."""
+    [(_, packed)] = packed_mask_sets(weights, stats, [kind], spec)
+    return unpack_mask_set(packed, weights.config)
 
 
 def prune_model(
@@ -240,11 +254,8 @@ def prune_model(
 ) -> tuple[ModelWeights, MaskSet]:
     """Score and mask every prunable sub-module independently.
 
-    Returns a pruned copy (the input weights stay untouched) plus the masks in
-    output x input orientation. Embeddings and norm gains are shared, never
-    pruned. The masks come from packed_mask_sets, the rule that search and
-    the exhaustive oracle use.
+    Returns a pruned copy (the input weights stay untouched) plus the masks of
+    prune_masks. Embeddings and norm gains are shared, never pruned.
     """
-    [(_, packed)] = packed_mask_sets(weights, stats, [kind], spec)
-    masks = unpack_mask_set(packed, weights.config)
+    masks = prune_masks(weights, stats, kind, spec)
     return apply_masks(weights, masks), masks

@@ -242,7 +242,8 @@ def test_calibration_pool_is_byte_identical_to_the_serial_pass(ragged_files, mon
     pools, fork_pool = [], objective._fork_pool
     monkeypatch.setattr(objective, "_fork_pool", lambda role, *args: pools.append(role) or fork_pool(role, *args))
     pooled_stats, codes = _stats_and_eval(ragged_files, "pooled")
-    assert codes == [0, 0] and pools == ["calibration", "calibration"]
+    # One pool for stats, two for eval: its dense pass, then its pruned pass.
+    assert codes == [0, 0] and pools == ["calibration"] * 3
     assert capsys.readouterr().out == serial_out.replace("stats-serial", "stats-pooled")
     assert pooled_stats.read_bytes() == serial_stats.read_bytes()
     assert multiprocessing.active_children() == []
@@ -665,12 +666,21 @@ def _python(args, cwd, openblas_threads=None):
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
 
 
-def test_module_entry_point_runs_the_cli(tmp_path):
-    bogus = _python(["-m", "prunesearch.cli", "--bogus"], tmp_path)
+def _assert_runs_the_cli(module, cwd):
+    """`python -m module` exits 1 with usage on a bogus flag and runs gen-model."""
+    bogus = _python(["-m", module, "--bogus"], cwd)
     assert bogus.returncode == 1 and bogus.stderr.startswith("usage: prunesearch"), bogus.stderr
-    done = _python(["-m", "prunesearch.cli", "gen-model", "--out", "m.opsh"], tmp_path)
+    done = _python(["-m", module, "gen-model", "--out", "m.opsh"], cwd)
     assert done.returncode == 0, done.stderr
-    assert storage.read_model(tmp_path / "m.opsh").config.n_layers == 2
+    assert storage.read_model(cwd / "m.opsh").config.n_layers == 2
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    _assert_runs_the_cli("prunesearch.cli", tmp_path)
+
+
+def test_package_entry_point_runs_the_cli(tmp_path):
+    _assert_runs_the_cli("prunesearch", tmp_path)
 
 
 def test_stats_bytes_do_not_depend_on_the_blas_thread_setting(tmp_path):

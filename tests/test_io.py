@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from prunesearch import io as storage
 from prunesearch.cli import run
 from prunesearch.metric import preset
-from prunesearch.model import ModelConfig, ModelWeights, init_model, sub_module_shapes, tensor_shapes
+from prunesearch.model import ModelConfig, ModelWeights, forward, init_model, sub_module_shapes, tensor_shapes
 from prunesearch.objective import CalibrationSet, collect_activation_stats, synthetic_calibration
-from prunesearch.prune import Mask, SemiStructured, prune_model
+from prunesearch.prune import Mask, SemiStructured, apply_masks, parse_sparsity, prune_masks, prune_model
 from prunesearch.search import SearchParams, nsga2_search
 
 
@@ -225,6 +225,16 @@ def test_write_model_converts_a_float64_model_one_tensor_at_a_time(tmp_path):
     assert path.read_bytes() == (tmp_path / "narrow.opsh").read_bytes()
 
 
+def test_write_model_with_masks_holds_one_pruned_sub_module_at_a_time(tmp_path):
+    weights, path, _, _ = _memory_model(tmp_path)
+    stats = collect_activation_stats(weights, CalibrationSet(((1, 2, 3, 4),)))
+    masks = prune_masks(weights, stats, preset("ria"), SemiStructured(2, 4))
+    largest = 4 * max(math.prod(shape) for shape in sub_module_shapes(_MEMORY_CONFIG).values())
+    # The masked sub-module and its transposed C-ordered copy, nothing held
+    # from the sub-module written before.
+    assert _traced_peak(storage.write_model, path, weights, masks) <= 2 * largest + 2**18
+
+
 def test_read_model_holds_one_float32_payload_at_a_time(tmp_path):
     weights, path, float32_total, _ = _memory_model(tmp_path)
     storage.write_model(path, weights)
@@ -244,6 +254,50 @@ def test_prune_model_holds_float32_weights_and_one_float64_sub_module(tmp_path):
     # hold one sub-module widened to float64, and 1 MiB of smaller arrays.
     bound = 4 * sum(sizes) + sum(sizes) + 8 * max(sizes) + 2**20
     assert _traced_peak(prune_model, weights, stats, preset("ria"), SemiStructured(2, 4)) <= bound
+
+
+def test_eval_holds_one_model_and_the_dense_hidden_cache(tmp_path):
+    weights, dense, float32_total, _ = _memory_model(tmp_path)
+    calib = synthetic_calibration(_MEMORY_CONFIG.vocab_size, 4, _MEMORY_CONFIG.max_seq_len, seed=1)
+    pruned, _ = prune_model(weights, collect_activation_stats(weights, calib), preset("ria"), SemiStructured(2, 4))
+    storage.write_model(dense, weights)
+    storage.write_model(tmp_path / "pruned.opsh", pruned)
+    storage.write_calib(tmp_path / "calib.jsonl", calib)
+    # One forward's own temporaries, the float64 copy of each matrix it
+    # multiplies included, traced on the longest sequence.
+    forward_peak = _traced_peak(forward, weights, calib.sequences[0])
+    del weights, pruned
+    cache = 8 * _MEMORY_CONFIG.d_model * sum(map(len, calib.sequences))
+    argv = ["eval", "--dense", str(dense), "--pruned", str(tmp_path / "pruned.opsh"),
+            "--calib", str(tmp_path / "calib.jsonl")]
+    # Two models held at once would need float32_total more.
+    assert _traced_peak(run, argv) <= float32_total + cache + forward_peak + 2**20
+
+
+@pytest.mark.parametrize("metric, sparsity", [("magnitude", "0.5"), ("ria", "2:4")])
+def test_prune_holds_no_pruned_copy_of_the_model(tmp_path, capsys, metric, sparsity):
+    weights, path, float32_total, _ = _memory_model(tmp_path)
+    storage.write_model(path, weights)
+    storage.write_stats(tmp_path / "stats.json", collect_activation_stats(weights, CalibrationSet(((1, 2, 3, 4),))))
+    del weights
+    prunable = sum(math.prod(shape) for shape in sub_module_shapes(_MEMORY_CONFIG).values())
+    argv = ["prune", "--model", str(path), "--stats", str(tmp_path / "stats.json"), "--metric", metric,
+            "--sparsity", sparsity, "--out", str(tmp_path / "pruned.opsh")]
+    # Below the model, its masks (one byte per weight) and a float32 pruned
+    # copy of the sub-modules, held together.
+    assert _traced_peak(run, argv) < float32_total + prunable + 4 * prunable
+
+
+@pytest.mark.parametrize("metric", ["magnitude", "ria"])
+@pytest.mark.parametrize("sparsity", ["0.5", "2:4"])
+def test_prune_writes_the_file_of_the_whole_pruned_copy(tmp_path, mini_weights, mini_stats, capsys, metric, sparsity):
+    storage.write_model(tmp_path / "model.opsh", mini_weights)
+    storage.write_stats(tmp_path / "stats.json", mini_stats)
+    assert run(["prune", "--model", str(tmp_path / "model.opsh"), "--stats", str(tmp_path / "stats.json"),
+                "--metric", metric, "--sparsity", sparsity, "--out", str(tmp_path / "streamed.opsh")]) == 0
+    masks = prune_masks(mini_weights, mini_stats, preset(metric), parse_sparsity(sparsity))
+    storage.write_model(tmp_path / "whole.opsh", apply_masks(mini_weights, masks))
+    assert (tmp_path / "streamed.opsh").read_bytes() == (tmp_path / "whole.opsh").read_bytes()
 
 
 def test_read_model_rejects_a_tensor_name_that_is_not_utf8(tmp_path, mini_weights):

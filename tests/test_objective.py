@@ -1,4 +1,5 @@
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -9,11 +10,11 @@ from prunesearch.model import ModelWeights, final_hidden_batch, forward, sub_mod
 from prunesearch.objective import (
     CalibrationSet,
     collect_activation_stats,
+    dense_hidden_cache,
     divergence,
     evaluate_config,
     evaluate_configs,
     make_context,
-    model_divergence,
     scoring_workers,
     synthetic_calibration,
     token_mean_sqdist,
@@ -262,10 +263,43 @@ def test_worker_count_is_capped_by_the_usable_cpus(jobs, cpus, expected):
     assert worker_count(jobs, cpus) == expected
 
 
-def test_model_divergence_equals_divergence_on_the_dense_cache(mini_weights, mini_stats, mini_calib):
+def _force_calibration_pool(monkeypatch):
+    monkeypatch.setattr(objective, "POOL_MIN_MACS", 0)
+    monkeypatch.setattr(objective, "_usable_cpus", lambda: 2)
+
+
+def test_pooled_passes_are_bit_identical_to_the_serial_ones(mini_weights, mini_stats, mini_calib, monkeypatch):
+    # eval's two passes: the dense hidden cache, then the pruned model's
+    # divergence against it, each sequence sent back from a worker.
     pruned, _ = prune_model(mini_weights, mini_stats, preset("ria"), Unstructured(0.5))
-    expected = divergence(final_hidden_batch(mini_weights, mini_calib), pruned, mini_calib)
-    assert model_divergence(mini_weights, pruned, mini_calib) == expected > 0.0
+    serial_cache = final_hidden_batch(mini_weights, mini_calib)
+    serial = divergence(serial_cache, pruned, mini_calib)
+    assert [h.tobytes() for h in dense_hidden_cache(mini_weights, mini_calib)] == [h.tobytes() for h in serial_cache]
+    _force_calibration_pool(monkeypatch)
+    pools, fork_pool = [], objective._fork_pool
+    monkeypatch.setattr(objective, "_fork_pool", lambda role, *args: pools.append(role) or fork_pool(role, *args))
+    cache = dense_hidden_cache(mini_weights, mini_calib)
+    assert [h.tobytes() for h in cache] == [h.tobytes() for h in serial_cache]
+    assert divergence(cache, pruned, mini_calib) == serial > 0.0
+    assert pools == ["calibration", "calibration"] and multiprocessing.active_children() == []
+
+
+def test_a_scoring_worker_forks_no_pool_of_its_own(mini_weights, mini_calib, monkeypatch):
+    kinds = all_configs()[:60]
+    expected = evaluate_configs(make_context(mini_weights, mini_calib, Unstructured(0.5)), kinds)
+    ctx = make_context(mini_weights, mini_calib, Unstructured(0.5))
+    parent, fork_pool = os.getpid(), objective._fork_pool
+
+    def in_the_parent_only(role, *args):
+        assert os.getpid() == parent, f"a worker forked a {role} pool"
+        return fork_pool(role, *args)
+
+    # Every divergence is now large enough for a calibration pool.
+    _force_calibration_pool(monkeypatch)
+    monkeypatch.setattr(objective, "_fork_pool", in_the_parent_only)
+    with scoring_workers(ctx, jobs=2) as pooled:
+        assert evaluate_configs(pooled, kinds) == expected
+    assert multiprocessing.active_children() == []
 
 
 def test_divergence_rejects_a_non_finite_fitness(mini_weights, mini_calib):
