@@ -1,4 +1,4 @@
-"""Minimal decoder-only transformer with per-sub-module input capture.
+"""Minimal decoder-only transformer that shows each sub-module input as it is made.
 
 Each block computes x <- x + Attn(RMSNorm(x)); x <- x + MLP(RMSNorm(x)) with
 causal softmax attention and a SwiGLU MLP. Positions use learned absolute
@@ -7,11 +7,13 @@ the prunable sub-modules; embeddings, norm gains, and the tied output head are
 never pruned. Weight matrices are stored input x output and applied as x @ W.
 
 Forward passes are pure functions of (weights, tokens); weights are treated as
-immutable after construction.
+immutable after construction. A forward hands each sub-module input block to
+an optional observer as soon as the block exists, and keeps none of them.
 """
 
 import collections
 import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,12 +68,6 @@ class ModelWeights:
 
     config: ModelConfig
     tensors: dict[str, np.ndarray]
-
-
-@dataclass(eq=False)
-class ForwardTrace:
-    final_hidden: np.ndarray  # T x d_model, taken after the final norm, before the head
-    captured_inputs: dict[str, np.ndarray] | None  # sub-module key -> T x in_features
 
 
 @functools.lru_cache(maxsize=8)
@@ -197,12 +193,16 @@ def token_ids(config: ModelConfig, tokens) -> np.ndarray:
     return ids
 
 
-def forward(weights: ModelWeights, tokens, capture: bool = False) -> ForwardTrace:
-    """Run one sequence through the model.
+def forward(weights: ModelWeights, tokens,
+            observe: Callable[[tuple[str, ...], np.ndarray], None] = lambda keys, block: None) -> np.ndarray:
+    """The T x d_model final hidden states of one sequence, after the final
+    norm, before the head.
 
-    With capture=True the exact input matrix fed to each prunable sub-module is
-    recorded under its "layer.L.name" key (q, k and v share one input block, as
-    do gate and up). Capturing does not change the computation.
+    observe(keys, block) is called as soon as each distinct input block of the
+    prunable sub-modules exists: per layer the keys (q, k, v), (o,), (gate, up)
+    and (down,), as "layer.L.name", each with the exact T x in_features matrix
+    they read, which observe must not write to. Observing does not change the
+    computation.
     """
     cfg = weights.config
     ids = token_ids(cfg, tokens)
@@ -211,28 +211,23 @@ def forward(weights: ModelWeights, tokens, capture: bool = False) -> ForwardTrac
     # The only sum of two weight tensors: widened first. Everywhere else a
     # float64 activation meets the weights, and numpy widens them exactly.
     x = tensors["token_embedding"][ids].astype(np.float64) + tensors["position_embedding"][:t]
-    captured: dict[str, np.ndarray] | None = {} if capture else None
 
     for keys in _block_keys(cfg):
         w = _Block(*(tensors[name] for name in keys))
         h = rmsnorm(x, w.attn_norm)
-        if captured is not None:
-            captured[keys.q] = captured[keys.k] = captured[keys.v] = h
+        observe((keys.q, keys.k, keys.v), h)
         mixed = _causal_attention(h @ w.q, h @ w.k, h @ w.v, cfg.n_heads)
-        if captured is not None:
-            captured[keys.o] = mixed
+        observe((keys.o,), mixed)
         x = x + mixed @ w.o
 
         h = rmsnorm(x, w.mlp_norm)
-        if captured is not None:
-            captured[keys.gate] = captured[keys.up] = h
+        observe((keys.gate, keys.up), h)
         inner = silu(h @ w.gate)
         inner *= h @ w.up
-        if captured is not None:
-            captured[keys.down] = inner
+        observe((keys.down,), inner)
         x = x + inner @ w.down
 
-    return ForwardTrace(final_hidden=rmsnorm(x, tensors["final_norm"]), captured_inputs=captured)
+    return rmsnorm(x, tensors["final_norm"])
 
 
 def final_hidden_batch(weights: ModelWeights, calib) -> list[np.ndarray]:
@@ -240,4 +235,4 @@ def final_hidden_batch(weights: ModelWeights, calib) -> list[np.ndarray]:
     sequences = list(calib.sequences)
     if not sequences:
         raise ValueError("empty calibration set")
-    return [forward(weights, seq).final_hidden for seq in sequences]
+    return [forward(weights, seq) for seq in sequences]

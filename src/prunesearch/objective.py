@@ -64,7 +64,7 @@ def collect_activation_stats(weights: ModelWeights, calib: CalibrationSet) -> Ac
     sequences = calib.sequences
     for partials in _per_sequence(lambda i: _stats_partials(weights, sequences[i]), calib, weights.config):
         for key, (sq, ab) in partials.items():
-            # Not in place: keys that share a captured block share its partials.
+            # Not in place: keys that read one input block share its partials.
             sumsq[key] = sumsq.get(key, 0.0) + sq
             l1[key] = l1.get(key, 0.0) + ab
     tokens = sum(map(len, calib.sequences))
@@ -76,11 +76,16 @@ def collect_activation_stats(weights: ModelWeights, calib: CalibrationSet) -> Ac
 
 def _stats_partials(weights: ModelWeights, seq: tuple[int, ...]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Per sub-module, the sum of squares and the abs sum of its inputs over one
-    sequence, reduced once per block: q, k and v share one, as do gate and up."""
-    captured = forward(weights, seq, capture=True).captured_inputs
-    blocks = {id(block): block for block in captured.values()}
-    partials = {i: ((block * block).sum(axis=0), np.abs(block).sum(axis=0)) for i, block in blocks.items()}
-    return {key: partials[id(block)] for key, block in captured.items()}
+    sequence. Each input block is reduced once, as the forward makes it (q, k
+    and v share one, as do gate and up), so no more than one layer's blocks are
+    held at a time."""
+    partials: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+
+    def reduce(keys: tuple[str, ...], block: np.ndarray) -> None:
+        partials.update(dict.fromkeys(keys, ((block * block).sum(axis=0), np.abs(block).sum(axis=0))))
+
+    forward(weights, seq, observe=reduce)
+    return partials
 
 
 def token_mean_sqdist(a: np.ndarray, b: np.ndarray) -> float:
@@ -93,7 +98,7 @@ def dense_hidden_cache(dense: ModelWeights, calib: CalibrationSet) -> list[np.nd
     """final_hidden_batch(dense, calib), one _per_sequence task per sequence:
     the first pass of `eval`, whose workers send back hidden states."""
     sequences = calib.sequences
-    return list(_per_sequence(lambda i: forward(dense, sequences[i]).final_hidden, calib, dense.config))
+    return list(_per_sequence(lambda i: forward(dense, sequences[i]), calib, dense.config))
 
 
 def divergence(dense_hidden: list[np.ndarray], pruned: ModelWeights, calib: CalibrationSet) -> float:
@@ -112,7 +117,7 @@ def divergence(dense_hidden: list[np.ndarray], pruned: ModelWeights, calib: Cali
 
 
 def _divergence_term(ref: np.ndarray, pruned: ModelWeights, seq: tuple[int, ...]) -> float:
-    h = forward(pruned, seq).final_hidden
+    h = forward(pruned, seq)
     if h.shape != ref.shape:
         raise ValueError(f"cached hidden shape {ref.shape} does not match forward {h.shape}")
     return token_mean_sqdist(ref, h)

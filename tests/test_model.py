@@ -53,8 +53,8 @@ def test_init_norm_gains_are_ones(mini_weights):
 
 def test_forward_deterministic(mini_weights, mini_calib):
     seq = mini_calib.sequences[0]
-    a = forward(mini_weights, seq).final_hidden
-    b = forward(mini_weights, seq).final_hidden
+    a = forward(mini_weights, seq)
+    b = forward(mini_weights, seq)
     assert a.tobytes() == b.tobytes()
 
 
@@ -70,20 +70,36 @@ def test_forward_validates_tokens(mini_weights):
         forward(mini_weights, [0] * (mini_weights.config.max_seq_len + 1))
 
 
-def test_capture_counts(mini_weights, mini_calib):
-    trace = forward(mini_weights, mini_calib.sequences[0], capture=True)
-    assert len(trace.captured_inputs) == 7 * mini_weights.config.n_layers
+def _observed(weights, tokens):
+    """forward's output and its observe calls, as (keys, block) in call order."""
+    calls = []
+    return forward(weights, tokens, observe=lambda keys, block: calls.append((keys, block))), calls
+
+
+def _inputs(calls):
+    """Sub-module key -> the block observed for it, in call order."""
+    return {key: block for keys, block in calls for key in keys}
+
+
+def test_observe_counts(mini_weights, mini_calib):
+    _, calls = _observed(mini_weights, mini_calib.sequences[0])
+    inputs = _inputs(calls)
+    assert len(inputs) == 7 * mini_weights.config.n_layers
     t = len(mini_calib.sequences[0])
-    assert trace.captured_inputs[sub_module_key(0, "q")].shape == (t, mini_weights.config.d_model)
-    assert trace.captured_inputs[sub_module_key(0, "down")].shape == (t, mini_weights.config.d_ff)
+    assert inputs[sub_module_key(0, "q")].shape == (t, mini_weights.config.d_model)
+    assert inputs[sub_module_key(0, "down")].shape == (t, mini_weights.config.d_ff)
+    # One call per distinct block, with every key that reads it.
+    assert [keys for keys, _ in calls] == [
+        tuple(sub_module_key(i, name) for name in names)
+        for i in range(mini_weights.config.n_layers)
+        for names in (("q", "k", "v"), ("o",), ("gate", "up"), ("down",))
+    ]
 
 
-def test_capture_does_not_change_output(mini_weights, mini_calib):
+def test_observe_does_not_change_output(mini_weights, mini_calib):
     seq = mini_calib.sequences[0]
-    plain = forward(mini_weights, seq, capture=False)
-    captured = forward(mini_weights, seq, capture=True)
-    assert plain.captured_inputs is None
-    assert plain.final_hidden.tobytes() == captured.final_hidden.tobytes()
+    observed, _ = _observed(mini_weights, seq)
+    assert forward(mini_weights, seq).tobytes() == observed.tobytes()
 
 
 def test_attention_softmax_rows_sum_to_one():
@@ -131,12 +147,13 @@ def test_causal_attention_is_bit_identical_to_reference(t, d, heads, scale):
 
 def _assert_forward_matches_reference_attention(weights, t, monkeypatch):
     tokens = np.random.default_rng(t).integers(0, weights.config.vocab_size, size=t)
-    actual = forward(weights, tokens, capture=True)
+    actual, actual_calls = _observed(weights, tokens)
     monkeypatch.setattr(model, "_causal_attention", _reference_attention)
-    expected = forward(weights, tokens, capture=True)
-    assert actual.final_hidden.tobytes() == expected.final_hidden.tobytes()
-    for key, value in expected.captured_inputs.items():
-        assert actual.captured_inputs[key].tobytes() == value.tobytes()
+    expected, expected_calls = _observed(weights, tokens)
+    assert actual.tobytes() == expected.tobytes()
+    actual_inputs = _inputs(actual_calls)
+    for key, value in _inputs(expected_calls).items():
+        assert actual_inputs[key].tobytes() == value.tobytes()
 
 
 @pytest.mark.filterwarnings("error")
@@ -163,13 +180,14 @@ def test_float32_forward_is_bit_identical_to_its_float64_copy(mini_weights, conf
     weights, wide = (ModelWeights(drawn.config, {name: w.astype(dtype) for name, w in drawn.tensors.items()})
                      for dtype in (np.float32, np.float64))
     tokens = np.random.default_rng(t).integers(0, weights.config.vocab_size, size=t)
-    actual = forward(weights, tokens, capture=True)
-    expected = forward(wide, tokens, capture=True)
-    assert actual.final_hidden.dtype == np.float64
-    assert actual.final_hidden.tobytes() == expected.final_hidden.tobytes()
-    assert list(actual.captured_inputs) == list(expected.captured_inputs)
-    for key, value in expected.captured_inputs.items():
-        assert actual.captured_inputs[key].tobytes() == value.tobytes()
+    actual, actual_calls = _observed(weights, tokens)
+    expected, expected_calls = _observed(wide, tokens)
+    assert actual.dtype == np.float64
+    assert actual.tobytes() == expected.tobytes()
+    actual_inputs = _inputs(actual_calls)
+    assert list(actual_inputs) == list(_inputs(expected_calls))
+    for key, value in _inputs(expected_calls).items():
+        assert actual_inputs[key].tobytes() == value.tobytes()
 
 
 @pytest.mark.parametrize("t, heads, groups", [(64, 8, [8]), (65, 8, [7, 1]), (256, 8, [2, 2, 2, 2]), (256, 2, [1, 1])])
@@ -191,7 +209,7 @@ def test_huge_linear_weights_run_without_a_warning(mini_weights, mini_calib):
         name: w * 1e10 if name in sub_module_shapes(mini_weights.config) else w
         for name, w in mini_weights.tensors.items()
     })
-    assert np.isfinite(forward(huge, mini_calib.sequences[0]).final_hidden).all()
+    assert np.isfinite(forward(huge, mini_calib.sequences[0])).all()
     stats = collect_activation_stats(huge, mini_calib)
     assert all(np.isfinite(entry.v).all() and np.isfinite(entry.l1).all() for entry in stats.values())
     x = np.array([-1e9, -710.0, -1.0, 0.0, 1.0, 1e9])
@@ -214,8 +232,8 @@ def test_causal_masking_exact(mini_weights):
     tokens = rng.integers(0, vocab, size=12)
     altered = tokens.copy()
     altered[8:] = (altered[8:] + 1) % vocab
-    a = forward(mini_weights, tokens).final_hidden
-    b = forward(mini_weights, altered).final_hidden
+    a = forward(mini_weights, tokens)
+    b = forward(mini_weights, altered)
     assert np.array_equal(a[:8], b[:8])
     assert not np.array_equal(a[8:], b[8:])
 

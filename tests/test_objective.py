@@ -1,12 +1,13 @@
 import multiprocessing
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from prunesearch import objective, prune
 from prunesearch.metric import SPACE_SIZE, preset
-from prunesearch.model import ModelWeights, final_hidden_batch, forward, sub_module_shapes
+from prunesearch.model import ModelConfig, ModelWeights, final_hidden_batch, forward, init_model, sub_module_shapes
 from prunesearch.objective import (
     CalibrationSet,
     collect_activation_stats,
@@ -41,13 +42,20 @@ def test_synthetic_calibration_deterministic():
     assert a.sequences != synthetic_calibration(64, 4, 16, seed=4).sequences
 
 
+def _observed_blocks(weights, seq):
+    """(keys, block) for each block forward(weights, seq) hands to its observer."""
+    calls = []
+    forward(weights, seq, observe=lambda keys, block: calls.append((keys, block)))
+    return calls
+
+
 def test_stats_match_independent_recomputation(mini_weights, mini_calib, mini_stats):
-    # Oracle: concatenate every captured block and reduce with plain loops.
+    # Oracle: concatenate every observed block and reduce with plain loops.
     blocks: dict[str, list[np.ndarray]] = {}
     for seq in mini_calib.sequences:
-        trace = forward(mini_weights, seq, capture=True)
-        for key, block in trace.captured_inputs.items():
-            blocks.setdefault(key, []).append(block)
+        for keys, block in _observed_blocks(mini_weights, seq):
+            for key in keys:
+                blocks.setdefault(key, []).append(block)
     assert set(blocks) == set(mini_stats)
     for key, parts in blocks.items():
         stacked = np.vstack(parts)
@@ -56,6 +64,43 @@ def test_stats_match_independent_recomputation(mini_weights, mini_calib, mini_st
         np.testing.assert_allclose(mini_stats[key].v, v, rtol=1e-12)
         np.testing.assert_allclose(mini_stats[key].l1, l1, rtol=1e-12)
         assert mini_stats[key].token_count == stacked.shape[0]
+
+
+def test_stats_bytes_equal_a_reduction_of_whole_observed_blocks(mini_weights, mini_calib, mini_stats):
+    # The reduction as it ran on blocks kept until the forward returned: each
+    # whole block reduced once, its sums added per key in sequence order.
+    sumsq: dict[str, np.ndarray] = {}
+    l1: dict[str, np.ndarray] = {}
+    for seq in mini_calib.sequences:
+        for keys, block in _observed_blocks(mini_weights, seq):
+            sq, ab = (block * block).sum(axis=0), np.abs(block).sum(axis=0)
+            for key in keys:
+                sumsq[key] = sumsq.get(key, 0.0) + sq
+                l1[key] = l1.get(key, 0.0) + ab
+    assert list(mini_stats) == list(sumsq)
+    for key, entry in mini_stats.items():
+        assert entry.v.tobytes() == np.sqrt(sumsq[key]).tobytes()
+        assert entry.l1.tobytes() == l1[key].tobytes()
+        assert entry.token_count == sum(map(len, mini_calib.sequences))
+
+
+def test_stats_of_a_sequence_hold_no_more_than_a_plain_forward():
+    # Each layer's input blocks are reduced as the forward makes them, so the
+    # stats of one sequence peak where its plain forward does. The blocks of
+    # all 4 layers, kept to the end, would come to 3.7 MB at T 128.
+    weights = init_model(ModelConfig(vocab_size=64, d_model=128, n_layers=4, n_heads=4, d_ff=512, max_seq_len=128), 1)
+    seq = tuple(int(t) for t in np.random.default_rng(0).integers(0, 64, size=128))
+    forward(weights, seq)  # fills the per-length and per-config caches
+
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            fn(weights, seq)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak(objective._stats_partials) <= traced_peak(forward) + 2**20
 
 
 def test_stats_hand_example_arithmetic():
@@ -96,7 +141,7 @@ def test_divergence_matches_plain_recomputation(mini_weights, mini_calib, mini_s
     fit = divergence(dense, pruned, mini_calib)
     per_seq = []
     for ref, seq in zip(dense, mini_calib.sequences):
-        h = forward(pruned, seq).final_hidden
+        h = forward(pruned, seq)
         per_seq.append(((ref - h) ** 2).sum(axis=1).mean())
     assert fit == pytest.approx(np.mean(per_seq), rel=1e-15)
 
