@@ -8,10 +8,16 @@ fixture's shape with calibration seed 7, the exhaustive oracle is computed
 once, then nsga2 runs at population 24 and budget 350 for search seeds 1-10.
 A run hits when its best l_div is within 1.001x of the oracle's. Each row
 gives the hits and the evaluations the ten runs used, and the last row the
-totals. The oracle fills the context's divergence cache, so the searches
-only mask; their results are the same as on a cold context.
+totals. The random column is the hits expected from a uniform draw of as
+many distinct mask classes: with k of the 441 classes within 1.001x of the
+oracle, a run of b evaluations adds 1 - C(441-k, b)/C(441, b). It is
+reported, not gated. The oracle fills the context's divergence cache, so the
+searches only mask; their results are the same as on a cold context.
 """
 
+from math import comb
+
+from prunesearch.metric import MASK_CLASS_COUNT, mask_equivalence_key
 from prunesearch.model import ModelConfig, init_model
 from prunesearch.objective import make_context, synthetic_calibration
 from prunesearch.prune import parse_sparsity
@@ -27,23 +33,28 @@ HIT_RATIO = 1.001
 
 def main() -> int:
     calib = synthetic_calibration(CONFIG.vocab_size, 8, 64, seed=CALIB_SEED)
-    print(f"{'model':>5} {'sparsity':>8} {'hits':>6} {'evaluations':>11}")
-    total_hits = total_runs = total_evals = 0
+    print(f"{'model':>5} {'sparsity':>8} {'hits':>6} {'evaluations':>11} {'random':>6}")
+    total_hits = total_runs = total_evals = total_random = 0
     for model_seed in MODEL_SEEDS:
         weights = init_model(CONFIG, seed=model_seed)
         for sparsity in SPARSITIES:
             ctx = make_context(weights, calib, parse_sparsity(sparsity))
-            target = exhaustive_search(ctx).best_l_div * HIT_RATIO
-            hits = evals = 0
+            oracle = exhaustive_search(ctx)
+            target = oracle.best_l_div * HIT_RATIO
+            k = len({mask_equivalence_key(cfg.codes) for _, cfg, l_div in oracle.trials if l_div <= target})
+            hits = evals = random = 0
             for seed in SEARCH_SEEDS:
                 result = nsga2_search(ctx, SearchParams(population=24, budget=350, seed=seed))
+                b = result.evaluations_used
                 hits += result.best_l_div <= target
-                evals += result.evaluations_used
-            print(f"{model_seed:>5} {sparsity:>8} {hits:>3}/{len(SEARCH_SEEDS):<2} {evals:>11,}", flush=True)
+                evals += b
+                random += 1 - comb(MASK_CLASS_COUNT - k, b) / comb(MASK_CLASS_COUNT, b)
+            print(f"{model_seed:>5} {sparsity:>8} {hits:>3}/{len(SEARCH_SEEDS):<2} {evals:>11,} {random:>6.1f}", flush=True)
             total_hits += hits
             total_runs += len(SEARCH_SEEDS)
             total_evals += evals
-    print(f"{'total':>5} {'':>8} {total_hits}/{total_runs} {total_evals:>11,}")
+            total_random += random
+    print(f"{'total':>5} {'':>8} {total_hits}/{total_runs} {total_evals:>11,} {total_random:>6.1f}")
     return 0
 
 
