@@ -31,7 +31,8 @@ _METRIC_HELP = (
 )
 _SPARSITY_HELP = "sparsity: a ratio in [0,1] (e.g. 0.5) or an N:M pattern (e.g. 4:8, 2:4)"
 _JOBS_HELP = (
-    "worker processes that score new mask sets (>= 1; at most the usable CPUs); "
+    "worker processes that mask and score the configs, each a shard of whole mask classes "
+    "with its own fitness cache (>= 1; at most the usable CPUs); "
     "results are byte-identical for every value"
 )
 

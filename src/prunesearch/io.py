@@ -335,7 +335,10 @@ def write_results(result: SearchResult, json_path, csv_path) -> None:
         "best": _trial_row(0, result.best_config, result.best_l_div) | {"trial": None},
         "trials": [_trial_row(i, cfg, l_div) for i, cfg, l_div in result.trials],
     }
-    Path(json_path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    # Streamed: the 2401-trial table is never joined into one string.
+    with open(json_path, "w", encoding="utf-8") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")
     with open(csv_path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(RESULT_CSV_COLUMNS)

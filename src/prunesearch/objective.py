@@ -16,12 +16,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .metric import MetricKind, SubModuleStats
+from .metric import Magnitude, MetricKind, SubModuleStats, mask_equivalence_key
 from .model import ModelConfig, ModelWeights, final_hidden_batch, forward, sub_module_shapes, token_ids
 from .prune import SparsitySpec, apply_masks, packed_mask_sets, unpack_mask_set
 
 if TYPE_CHECKING:
-    from concurrent.futures import Executor, Future
+    from concurrent.futures import Executor
 
 ActivationStats = dict[str, SubModuleStats]
 
@@ -145,10 +145,13 @@ class EvalContext:
     per distinct mask set per context. It holds about params/8 bytes (one bit
     per prunable weight) per distinct mask set and lives as long as the
     context. `workers`, set only inside scoring_workers, is the process pool
-    that scores new mask sets; without it they are scored in this process.
-    `weights` is the model widened to float64 once by make_context: the
-    context runs a forward per sequence per new mask set, and each forward
-    of float32 weights would widen every matrix it multiplies.
+    that masks and scores the configs, in at most `shards` (its worker count)
+    shards per evaluate_configs call; each worker keeps its own fitness
+    cache, and this context's stays empty. Without workers the configs are
+    masked and scored in this process. `weights` is the model widened to float64 once by
+    make_context: the context runs a forward per sequence per new mask set,
+    and each forward of float32 weights would widen every matrix it
+    multiplies.
     """
 
     weights: ModelWeights
@@ -158,6 +161,7 @@ class EvalContext:
     spec: SparsitySpec
     fitness_by_masks: dict[bytes, float] = field(default_factory=dict)
     workers: "Executor | None" = None
+    shards: int = 1
 
 
 def make_context(weights: ModelWeights, calib: CalibrationSet, spec: SparsitySpec) -> EvalContext:
@@ -245,22 +249,25 @@ def _per_sequence(task, calib: CalibrationSet, config: ModelConfig) -> Iterable:
 
 @contextlib.contextmanager
 def scoring_workers(ctx: EvalContext, jobs: int) -> Iterator[EvalContext]:
-    """ctx, with its new mask sets scored on worker_count(jobs, usable CPUs)
-    processes while the block runs.
+    """ctx, with its configs masked and scored on worker_count(jobs, usable
+    CPUs) processes while the block runs.
 
     With one worker ctx itself is yielded: nothing is forked and
     multiprocessing is not imported. Otherwise the yielded context shares
-    ctx's inputs and fitness cache, and a _fork_pool, whose workers inherit
-    ctx, scores each new mask set that evaluate_configs submits: each task is
-    one packed mask set, each result one float. A worker runs the divergence
-    passes of its tasks itself: _per_sequence forks no pool inside a pool.
+    ctx's inputs and carries a _fork_pool and its worker count. The workers
+    inherit ctx, and each task is one shard of an evaluate_configs call, a
+    list of kinds that the worker masks and scores with evaluate_configs on
+    its own copy of ctx; each result is one float per kind. A worker's
+    fitness cache lasts as long as the pool, while the parent masks nothing
+    and its cache stays empty. A worker runs the divergence passes of its
+    tasks itself: _per_sequence forks no pool inside a pool.
     """
     workers = worker_count(jobs, _usable_cpus())
     if workers == 1:
         yield ctx
         return
-    with _fork_pool("scoring", workers, lambda packed: _score(ctx, packed)) as pool:
-        yield replace(ctx, workers=pool)
+    with _fork_pool("scoring", workers, lambda shard: evaluate_configs(ctx, shard)) as pool:
+        yield replace(ctx, workers=pool, shards=workers)
 
 
 def _score(ctx: EvalContext, packed: bytes) -> float:
@@ -269,39 +276,56 @@ def _score(ctx: EvalContext, packed: bytes) -> float:
     return divergence(ctx.dense_hidden, pruned, ctx.calib)
 
 
+def _deal(kinds: Sequence[MetricKind], shards: int) -> list[list[MetricKind]]:
+    """kinds dealt into at most `shards` lists as whole mask classes
+    (mask_equivalence_key of the codes; magnitude is a class of its own),
+    round-robin in order of first appearance."""
+    classes: dict[object, list[MetricKind]] = {}
+    for kind in kinds:
+        key = kind if isinstance(kind, Magnitude) else mask_equivalence_key(kind.codes)
+        classes.setdefault(key, []).append(kind)
+    dealt: list[list[MetricKind]] = [[] for _ in range(min(shards, len(classes)))]
+    for i, members in enumerate(classes.values()):
+        dealt[i % shards].extend(members)
+    return dealt
+
+
 def evaluate_configs(ctx: EvalContext, kinds: Sequence[MetricKind]) -> list[float]:
     """Fitness (the float divergence gives) of each kind, in input order;
     pure in (ctx, kinds).
 
-    The distinct kinds are masked together by packed_mask_sets (one weight
-    factor and a few stacked build_mask calls per (alpha, f1) group and
-    sub-module). A mask set the context has seen takes its cached fitness;
-    only a new one is unpacked, applied to a pruned copy and run through
-    divergence. On a context with workers each new mask set is submitted to
-    them as soon as packed_mask_sets yields it, so the workers score while
-    the remaining groups are masked; without workers the new sets are scored
-    in this process once masking ends. Either way they enter the cache in the
-    order they were first yielded. Every new packed set stays in the cache
-    anyway, so holding them until then costs no memory the cache would not.
+    On a context with workers the distinct kinds are dealt by _deal into
+    one shard per worker at most, and each worker runs this function on its
+    shard in its own process; nothing is masked or cached here.
+    Otherwise the distinct kinds are masked together by packed_mask_sets
+    (one weight factor and a few stacked build_mask calls per (alpha, f1)
+    group and sub-module). A mask set the context has seen takes its cached
+    fitness; only a new one is unpacked, applied to a pruned copy and run
+    through divergence once masking ends, and the new sets enter the cache in
+    the order they were first yielded. Every new packed set stays in the
+    cache anyway, so holding them until then costs no memory the cache would
+    not, while the masking stacks are gone before the first forward.
     Identical masks give identical pruned weights, so a cached fitness, or
-    one computed in a worker, is bit-identical to a recomputed one. Search
-    budgets count configs, not forwards.
+    one computed in any worker, is bit-identical to a recomputed one: two
+    classes whose masks coincide, dealt to two shards, are scored twice to
+    the same float. Search budgets count configs, not forwards.
     """
     distinct = list(dict.fromkeys(kinds))
     fitness: dict[MetricKind, float] = {}
-    new: dict[bytes, tuple["Future | None", list[MetricKind]]] = {}
+    if ctx.workers is not None:
+        shards = _deal(distinct, ctx.shards)
+        for shard, fits in zip(shards, ctx.workers.map(_run_task, shards)):
+            fitness.update(zip(shard, fits))
+        return [fitness[kind] for kind in kinds]
+    new: dict[bytes, list[MetricKind]] = {}
     for i, packed in packed_mask_sets(ctx.weights, ctx.stats, distinct, ctx.spec):
         if packed in ctx.fitness_by_masks:
             fitness[distinct[i]] = ctx.fitness_by_masks[packed]
-            continue
-        if packed not in new:
-            new[packed] = (None if ctx.workers is None else ctx.workers.submit(_run_task, packed), [])
-        new[packed][1].append(distinct[i])
-    for packed, (future, waiting) in new.items():
-        fit = _score(ctx, packed) if future is None else future.result()
-        ctx.fitness_by_masks[packed] = fit
-        for kind in waiting:
-            fitness[kind] = fit
+        else:
+            new.setdefault(packed, []).append(distinct[i])
+    for packed, waiting in new.items():
+        fit = ctx.fitness_by_masks[packed] = _score(ctx, packed)
+        fitness.update(dict.fromkeys(waiting, fit))
     return [fitness[kind] for kind in kinds]
 
 

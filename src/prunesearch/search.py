@@ -257,9 +257,11 @@ def exhaustive_search(ctx: EvalContext) -> SearchResult:
     sub-module (more only where MAX_SCORES_PER_CALL splits a group). A pruned
     copy and its divergence are computed once per distinct mask set per
     context (434 of the 2401 configs at the 2-layer fixture at 0.5), while the
-    budget counts all 2401 configs; on a context with workers each new set is
-    scored there while the later groups are masked. The context keeps about
-    params/8 bytes per distinct mask set for its lifetime.
+    budget counts all 2401 configs. The context keeps about params/8 bytes
+    per distinct mask set for its lifetime. On a context with workers the
+    2401 configs are dealt as whole mask classes into one shard per worker,
+    each worker masks and scores its shard and keeps those bytes for its own
+    sets, and this process masks nothing and keeps none.
     """
     log = _TrialLog(ctx, SPACE_SIZE)
     log.resolve(all_configs())

@@ -134,13 +134,15 @@ def _enumerate_argv(files, out, jobs):
 
 
 def test_search_with_workers_matches_one_worker_and_leaves_no_process(micro_files, monkeypatch, capsys):
-    monkeypatch.setattr(objective, "_usable_cpus", lambda: 2)
-    one, two = micro_files["dir"] / "one.json", micro_files["dir"] / "two.json"
+    monkeypatch.setattr(objective, "_usable_cpus", lambda: 3)
+    one = micro_files["dir"] / "one.json"
     assert run(_search_argv(micro_files, one, 1)) == 0
-    assert run(_search_argv(micro_files, two, 2)) == 0
-    assert multiprocessing.active_children() == []
-    assert one.read_bytes() == two.read_bytes()
-    assert one.with_suffix(".csv").read_bytes() == two.with_suffix(".csv").read_bytes()
+    for jobs in (2, 3):
+        pooled = micro_files["dir"] / f"jobs{jobs}.json"
+        assert run(_search_argv(micro_files, pooled, jobs)) == 0
+        assert multiprocessing.active_children() == []
+        assert one.read_bytes() == pooled.read_bytes()
+        assert one.with_suffix(".csv").read_bytes() == pooled.with_suffix(".csv").read_bytes()
     capsys.readouterr()
 
 
@@ -171,19 +173,21 @@ def test_enumerate_with_workers_matches_one_worker_and_leaves_no_process(micro_f
     def no_fork():
         raise AssertionError("enumerate --jobs 1 forked a process")
 
-    monkeypatch.setattr(objective, "_usable_cpus", lambda: 2)
-    one, two = micro_files["dir"] / "one.json", micro_files["dir"] / "two.json"
+    monkeypatch.setattr(objective, "_usable_cpus", lambda: 3)
+    one = micro_files["dir"] / "one.json"
     with monkeypatch.context() as patch:
         patch.setattr(os, "fork", no_fork)
         assert run(_enumerate_argv(micro_files, one, 1)) == 0
-    forks, fork = [], os.fork
-    with monkeypatch.context() as patch:
-        patch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
-        assert run(_enumerate_argv(micro_files, two, 2)) == 0
-    assert len(forks) == 2
-    assert multiprocessing.active_children() == []
-    assert one.read_bytes() == two.read_bytes()
-    assert one.with_suffix(".csv").read_bytes() == two.with_suffix(".csv").read_bytes()
+    for jobs in (2, 3):
+        pooled = micro_files["dir"] / f"jobs{jobs}.json"
+        forks, fork = [], os.fork
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+            assert run(_enumerate_argv(micro_files, pooled, jobs)) == 0
+        assert len(forks) == jobs
+        assert multiprocessing.active_children() == []
+        assert one.read_bytes() == pooled.read_bytes()
+        assert one.with_suffix(".csv").read_bytes() == pooled.with_suffix(".csv").read_bytes()
     capsys.readouterr()
 
 

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 
 from prunesearch import io as storage
 from prunesearch.cli import run
-from prunesearch.metric import preset
+from prunesearch.metric import SPACE_SIZE, preset
 from prunesearch.model import ModelConfig, ModelWeights, forward, init_model, sub_module_shapes, tensor_shapes
 from prunesearch.objective import CalibrationSet, collect_activation_stats, synthetic_calibration
 from prunesearch.prune import Mask, SemiStructured, apply_masks, parse_sparsity, prune_masks, prune_model
-from prunesearch.search import SearchParams, nsga2_search
+from prunesearch.search import SearchParams, SearchResult, all_configs, nsga2_search
 
 
 def test_model_round_trip_is_stable(tmp_path, mini_weights):
@@ -572,6 +572,21 @@ def test_results_files(tmp_path, mini_ctx):
     storage.write_results(result, json2, csv2)
     assert json2.read_bytes() == json_path.read_bytes()
     assert csv2.read_bytes() == csv_path.read_bytes()
+
+
+def test_results_json_is_the_one_shot_dump_of_its_document(tmp_path):
+    # A 2401-trial table with awkward floats: the streamed JSON must be
+    # byte for byte what json.dumps gives for the same document.
+    values = np.random.default_rng(5).lognormal(0.0, 30.0, SPACE_SIZE).tolist()
+    values[:3] = [0.0, 0.1 + 0.2, 5e-324]
+    trials = [(i, cfg, value) for i, (cfg, value) in enumerate(zip(all_configs(), values))]
+    result = SearchResult("exhaustive", trials, trials[0][1], trials[0][2], SPACE_SIZE, None, SPACE_SIZE)
+    json_path = tmp_path / "result.json"
+    storage.write_results(result, json_path, tmp_path / "result.csv")
+    written = json_path.read_bytes()
+    doc = json.loads(written)
+    assert len(doc["trials"]) == SPACE_SIZE
+    assert written == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
 def test_calibration_ids_checked_at_use_time(tmp_path, mini_weights):

@@ -1,12 +1,13 @@
 import multiprocessing
 import os
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from prunesearch import objective, prune
-from prunesearch.metric import SPACE_SIZE, preset
+from prunesearch.metric import SPACE_SIZE, Magnitude, mask_equivalence_key, preset
 from prunesearch.model import ModelConfig, ModelWeights, final_hidden_batch, forward, init_model, sub_module_shapes
 from prunesearch.objective import (
     CalibrationSet,
@@ -248,8 +249,8 @@ def test_evaluate_configs_keeps_input_order_and_duplicates(mini_weights, mini_ca
 @pytest.mark.parametrize("spec", [Unstructured(0.5), SemiStructured(2, 4)], ids=["0.5", "2:4"])
 def test_worker_scores_are_bit_identical_to_in_process(mini_weights, mini_calib, spec, monkeypatch):
     # The first 300 configs repeat mask sets (rank-neutral alphas and betas)
-    # and hold more than 32 new mask sets, all submitted in one call; the tail
-    # repeats kinds.
+    # and hold more than 32 new mask sets, all in one call; the tail repeats
+    # kinds.
     kinds = all_configs()[:300]
     kinds += kinds[:40]
     local = make_context(mini_weights, mini_calib, spec)
@@ -262,40 +263,60 @@ def test_worker_scores_are_bit_identical_to_in_process(mini_weights, mini_calib,
         assert len(multiprocessing.active_children()) == 2
     assert multiprocessing.active_children() == []
     assert got == expected
-    assert list(pooled.fitness_by_masks.items()) == list(local.fitness_by_masks.items())
+    assert pooled.fitness_by_masks == {}  # the workers keep the cache
 
 
-def test_new_mask_sets_reach_the_workers_while_masking_goes_on(mini_weights, mini_calib, monkeypatch):
-    # The order of calls pins the overlap without timing: each new set is
-    # submitted right after packed_mask_sets yields it, before the next yield.
-    events = []
-    mask_sets = objective.packed_mask_sets
+def _class_of(kind):
+    return kind if isinstance(kind, Magnitude) else mask_equivalence_key(kind.codes)
 
-    def recorded_mask_sets(*args):
-        for i, packed in mask_sets(*args):
-            events.append(("yield", packed))
-            yield i, packed
-        events.append(("exhausted", None))
 
-    kinds = all_configs()[:300]
-    ctx = make_context(mini_weights, mini_calib, Unstructured(0.5))
-    evaluate_configs(ctx, kinds[:150])
-    cached = list(ctx.fitness_by_masks)
-    monkeypatch.setattr(objective, "packed_mask_sets", recorded_mask_sets)
-    monkeypatch.setattr(objective, "_usable_cpus", lambda: 2)
-    with scoring_workers(ctx, jobs=2) as pooled:
-        submit = pooled.workers.submit
-        monkeypatch.setattr(pooled.workers, "submit", lambda fn, packed: events.append(("submit", packed)) or submit(fn, packed))
+@pytest.mark.parametrize("per_call", [prune.MAX_SCORES_PER_CALL, 1000], ids=["whole-groups", "split-groups"])
+@pytest.mark.parametrize("workers", [2, 3])
+def test_workers_mask_and_score_whole_class_shards(mini_weights, mini_calib, monkeypatch, workers, per_call):
+    kinds = [preset("magnitude"), *all_configs()[:300]]
+    kinds += kinds[:40]
+    expected = evaluate_configs(make_context(mini_weights, mini_calib, Unstructured(0.5)), kinds)
+
+    # Set before the fork, so the workers mask with it: at most 3 configs
+    # per build_mask call at this width, far fewer than a shard's groups hold.
+    monkeypatch.setattr(prune, "MAX_SCORES_PER_CALL", per_call)
+    monkeypatch.setattr(objective, "_usable_cpus", lambda: workers)
+    sent = []
+    with scoring_workers(make_context(mini_weights, mini_calib, Unstructured(0.5)), jobs=workers) as pooled:
+        pool_map = pooled.workers.map
+        monkeypatch.setattr(pooled.workers, "map", lambda fn, shards: sent.extend(shards) or pool_map(fn, shards))
         got = evaluate_configs(pooled, kinds)
-    submitted = [packed for event, packed in events if event == "submit"]
+    assert got == expected
+    assert pooled.fitness_by_masks == {}
 
-    assert events.index(("submit", submitted[0])) < events.index(("exhausted", None))
-    for at, (event, packed) in enumerate(events):
-        if event == "submit":
-            assert events[at - 1] == ("yield", packed)
-    assert len(set(submitted)) == len(submitted) > 1 and not set(submitted) & set(cached)
-    assert list(ctx.fitness_by_masks) == cached + submitted
-    assert got == evaluate_configs(make_context(mini_weights, mini_calib, Unstructured(0.5)), kinds)
+    assert 1 < len(sent) <= workers
+    dealt = [kind for shard in sent for kind in shard]
+    assert len(dealt) == len(set(dealt)) and set(dealt) == set(kinds)
+    classes = [{_class_of(kind) for kind in shard} for shard in sent]
+    assert sum(map(len, classes)) == len(set().union(*classes))  # no class in two shards
+    assert max(map(len, classes)) - min(map(len, classes)) <= 1
+    groups = Counter((kind.alpha, kind.f1) for kind in sent[0] if not isinstance(kind, Magnitude))
+    assert max(groups.values()) > 3
+
+
+def test_a_pooled_exhaustive_search_holds_no_mask_set_in_the_parent(monkeypatch):
+    # The acceptance fixture's shapes: 2.5 KB per packed mask set, 434 of
+    # them at 0.5. Short calibration sequences keep the forwards cheap.
+    config = ModelConfig(vocab_size=128, d_model=32, n_layers=2, n_heads=4, d_ff=64, max_seq_len=64)
+    calib = synthetic_calibration(config.vocab_size, 2, 16, seed=7)
+    monkeypatch.setattr(objective, "_usable_cpus", lambda: 2)
+    with scoring_workers(make_context(init_model(config, seed=42), calib, Unstructured(0.5)), jobs=2) as pooled:
+        evaluate_configs(pooled, [preset("magnitude")])  # forks the workers before tracing starts
+        tracemalloc.start()
+        try:
+            result = exhaustive_search(pooled)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # The trial log and the pickled shards take about 1.1 MB. Holding the new
+    # mask sets (434 x 2.5 KB) and the masking stacks here took 5.6 MB.
+    assert peak < 2_000_000, f"{peak / 1e6:.2f} MB"
+    assert len(result.trials) == SPACE_SIZE and pooled.fitness_by_masks == {}
 
 
 def test_one_worker_forks_nothing(mini_ctx):
