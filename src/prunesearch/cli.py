@@ -32,9 +32,10 @@ _METRIC_HELP = (
 _SPARSITY_HELP = "sparsity: a ratio in [0,1] (e.g. 0.5) or an N:M pattern (e.g. 4:8, 2:4)"
 _JOBS_HELP = (
     "worker processes that mask and score the configs, each a shard of whole mask classes "
-    "with its own fitness cache (>= 1; at most the usable CPUs); "
+    "of every evaluation call (>= 1; at most the usable CPUs); "
     "results are byte-identical for every value"
 )
+_RESULTS_HELP = "results JSON path, not ending in .csv (any case); a sibling .csv is written too"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,6 +73,13 @@ def _int_at_least(minimum: int):
         return value
 
     return parse
+
+
+def _results_path(text: str) -> str:
+    """--out of search and enumerate: its .csv sibling must be another file."""
+    if Path(text).suffix.lower() == ".csv":
+        raise argparse.ArgumentTypeError(f"{text!r} ends in .csv, the suffix of its CSV sibling")
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", type=_metric_arg, required=True, help=_METRIC_HELP)
     p.add_argument("--sparsity", type=_sparsity_arg, required=True, help=_SPARSITY_HELP)
     p.add_argument("--out", required=True)
-    p.add_argument("--masks-out")
+    p.add_argument("--masks-out", help="also write the masks to this path, which must differ from --out")
     p.set_defaults(func=_cmd_prune)
 
     p = sub.add_parser("eval", help="print the divergence between dense and pruned models")
@@ -131,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pop", type=int, default=24)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--jobs", type=_int_at_least(1), default=1, help=_JOBS_HELP)
-    p.add_argument("--out", required=True, help="results JSON path; a sibling .csv is written too")
+    p.add_argument("--out", type=_results_path, required=True, help=_RESULTS_HELP)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("enumerate", help="evaluate all 2401 configs (the exact oracle)")
@@ -139,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calib", required=True)
     p.add_argument("--sparsity", type=_sparsity_arg, required=True, help=_SPARSITY_HELP)
     p.add_argument("--jobs", type=_int_at_least(1), default=1, help=_JOBS_HELP)
-    p.add_argument("--out", required=True, help="results JSON path; a sibling .csv is written too")
+    p.add_argument("--out", type=_results_path, required=True, help=_RESULTS_HELP)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("align", help="report weight-activation alignment gaps")
@@ -194,6 +202,9 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_prune(args) -> int:
+    if args.masks_out and Path(args.masks_out).resolve() == Path(args.out).resolve():
+        print(f"prunesearch prune: error: --masks-out names the --out file {args.out}", file=sys.stderr)
+        return 1
     weights = storage.read_model(args.model)
     stats = storage.read_stats(args.stats)
     masks = prune_masks(weights, stats, args.metric, args.sparsity)

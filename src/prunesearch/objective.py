@@ -11,7 +11,7 @@ needed while a pruned one is scored against it.
 import contextlib
 import os
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -136,22 +136,16 @@ def _mean_fitness(terms: list[float]) -> float:
 
 @dataclass(frozen=True, eq=False)
 class EvalContext:
-    """Shared inputs for scoring candidate configs.
-
-    The dense hidden cache and activation stats are computed once and reused
-    for every candidate. `fitness_by_masks` maps a packed mask set (the packed
-    bits of each mask in sub-module order) to its fitness, the float
-    divergence gives, so the pruned copy and its divergence are computed once
-    per distinct mask set per context. It holds about params/8 bytes (one bit
-    per prunable weight) per distinct mask set and lives as long as the
-    context. `workers`, set only inside scoring_workers, is the process pool
-    that masks and scores the configs, in at most `shards` (its worker count)
-    shards per evaluate_configs call; each worker keeps its own fitness
-    cache, and this context's stays empty. Without workers the configs are
-    masked and scored in this process. `weights` is the model widened to float64 once by
-    make_context: the context runs a forward per sequence per new mask set,
-    and each forward of float32 weights would widen every matrix it
-    multiplies.
+    """Shared inputs for scoring candidate configs, made once and never
+    written: the dense hidden cache and activation stats are reused for every
+    candidate, and no fitness is stored here (evaluate_configs keeps its mask
+    sets for one call only). `workers`, set only inside scoring_workers, is
+    the process pool that masks and scores the configs, in at most `shards`
+    (its worker count) shards per evaluate_configs call. Without workers the
+    configs are masked and scored in this process. `weights` is the model
+    widened to float64 once by make_context: the context runs a forward per
+    sequence per mask set scored, and each forward of float32 weights would
+    widen every matrix it multiplies.
     """
 
     weights: ModelWeights
@@ -159,7 +153,6 @@ class EvalContext:
     dense_hidden: list[np.ndarray]
     calib: CalibrationSet
     spec: SparsitySpec
-    fitness_by_masks: dict[bytes, float] = field(default_factory=dict)
     workers: "Executor | None" = None
     shards: int = 1
 
@@ -257,10 +250,10 @@ def scoring_workers(ctx: EvalContext, jobs: int) -> Iterator[EvalContext]:
     ctx's inputs and carries a _fork_pool and its worker count. The workers
     inherit ctx, and each task is one shard of an evaluate_configs call, a
     list of kinds that the worker masks and scores with evaluate_configs on
-    its own copy of ctx; each result is one float per kind. A worker's
-    fitness cache lasts as long as the pool, while the parent masks nothing
-    and its cache stays empty. A worker runs the divergence passes of its
-    tasks itself: _per_sequence forks no pool inside a pool.
+    its own copy of ctx; each result is one float per kind. A task depends
+    only on ctx and its shard: a worker keeps nothing from one task to the
+    next, and the parent masks nothing. A worker runs the divergence passes
+    of its tasks itself: _per_sequence forks no pool inside a pool.
     """
     workers = worker_count(jobs, _usable_cpus())
     if workers == 1:
@@ -296,19 +289,16 @@ def evaluate_configs(ctx: EvalContext, kinds: Sequence[MetricKind]) -> list[floa
 
     On a context with workers the distinct kinds are dealt by _deal into
     one shard per worker at most, and each worker runs this function on its
-    shard in its own process; nothing is masked or cached here.
+    shard in its own process; nothing is masked here.
     Otherwise the distinct kinds are masked together by packed_mask_sets
     (one weight factor and a few stacked build_mask calls per (alpha, f1)
-    group and sub-module). A mask set the context has seen takes its cached
-    fitness; only a new one is unpacked, applied to a pruned copy and run
-    through divergence once masking ends, and the new sets enter the cache in
-    the order they were first yielded. Every new packed set stays in the
-    cache anyway, so holding them until then costs no memory the cache would
-    not, while the masking stacks are gone before the first forward.
-    Identical masks give identical pruned weights, so a cached fitness, or
-    one computed in any worker, is bit-identical to a recomputed one: two
-    classes whose masks coincide, dealt to two shards, are scored twice to
-    the same float. Search budgets count configs, not forwards.
+    group and sub-module) and grouped by their packed mask set. Once masking
+    ends, so the masking stacks are gone before the first forward, each set
+    is unpacked, applied to a pruned copy and run through divergence: one
+    divergence per distinct mask set per call, and nothing outlives the
+    call. Identical masks give identical pruned weights, so a mask set
+    scored again, in a later call or in another worker's shard, gives the
+    same float. Search budgets count configs, not forwards.
     """
     distinct = list(dict.fromkeys(kinds))
     fitness: dict[MetricKind, float] = {}
@@ -317,19 +307,15 @@ def evaluate_configs(ctx: EvalContext, kinds: Sequence[MetricKind]) -> list[floa
         for shard, fits in zip(shards, ctx.workers.map(_run_task, shards)):
             fitness.update(zip(shard, fits))
         return [fitness[kind] for kind in kinds]
-    new: dict[bytes, list[MetricKind]] = {}
+    by_set: dict[bytes, list[MetricKind]] = {}
     for i, packed in packed_mask_sets(ctx.weights, ctx.stats, distinct, ctx.spec):
-        if packed in ctx.fitness_by_masks:
-            fitness[distinct[i]] = ctx.fitness_by_masks[packed]
-        else:
-            new.setdefault(packed, []).append(distinct[i])
-    for packed, waiting in new.items():
-        fit = ctx.fitness_by_masks[packed] = _score(ctx, packed)
-        fitness.update(dict.fromkeys(waiting, fit))
+        by_set.setdefault(packed, []).append(distinct[i])
+    for packed, members in by_set.items():
+        fitness.update(dict.fromkeys(members, _score(ctx, packed)))
     return [fitness[kind] for kind in kinds]
 
 
 def evaluate_config(ctx: EvalContext, kind: MetricKind) -> float:
-    """Score -> mask -> (pruned copy -> divergence on a new mask set) for one
-    kind: evaluate_configs(ctx, [kind])[0]."""
+    """Score -> mask -> pruned copy -> divergence for one kind:
+    evaluate_configs(ctx, [kind])[0]."""
     return evaluate_configs(ctx, [kind])[0]

@@ -255,13 +255,14 @@ def exhaustive_search(ctx: EvalContext) -> SearchResult:
     of every search, and so through one evaluate_configs call: 49 (alpha, f1)
     groups, each masked with one weight factor and one build_mask call per
     sub-module (more only where MAX_SCORES_PER_CALL splits a group). A pruned
-    copy and its divergence are computed once per distinct mask set per
-    context (434 of the 2401 configs at the 2-layer fixture at 0.5), while the
-    budget counts all 2401 configs. The context keeps about params/8 bytes
-    per distinct mask set for its lifetime. On a context with workers the
-    2401 configs are dealt as whole mask classes into one shard per worker,
-    each worker masks and scores its shard and keeps those bytes for its own
-    sets, and this process masks nothing and keeps none.
+    copy and its divergence are computed once per distinct mask set of the
+    call (434 of the 2401 configs at the 2-layer fixture at 0.5), while the
+    budget counts all 2401 configs. The call holds about params/8 bytes per
+    distinct mask set until its last set is scored, and the context keeps
+    none. On a context with workers the 2401 configs are dealt as whole mask
+    classes into one shard per worker, each worker masks and scores its
+    shard and holds those bytes for its own sets, and this process masks
+    nothing.
     """
     log = _TrialLog(ctx, SPACE_SIZE)
     log.resolve(all_configs())

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from prunesearch.model import ModelConfig, init_model
@@ -8,6 +10,29 @@ from prunesearch.prune import Unstructured
 # every structural property of the real thing (2 layers, 14 sub-modules,
 # dimensions divisible by 4 and 8 for n:m tests).
 MINI_CONFIG = ModelConfig(vocab_size=64, d_model=16, n_layers=2, n_heads=2, d_ff=24, max_seq_len=16)
+
+
+# Python 3.12 and later warn (a DeprecationWarning) when a process that has
+# threads forks. An "error" filter cannot catch it: os.fork clears the
+# exception the filter raises, so the warning would vanish. It is recorded
+# instead, and any such warning fails the run; 3.10 and 3.11 never issue it.
+_FORK_WITH_THREADS = re.compile(r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)")
+_forked_with_threads: list[str] = []
+
+
+def pytest_warning_recorded(warning_message, nodeid):
+    if _FORK_WITH_THREADS.match(str(warning_message.message)):
+        _forked_with_threads.append(nodeid)
+
+
+def pytest_sessionfinish(session):
+    if _forked_with_threads:
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
+
+
+def pytest_terminal_summary(terminalreporter):
+    for nodeid in _forked_with_threads:
+        terminalreporter.write_line(f"FAILED {nodeid}: forked a process that has threads")
 
 
 @pytest.fixture(scope="session")

@@ -133,6 +133,33 @@ def _enumerate_argv(files, out, jobs):
             "--jobs", str(jobs), "--out", str(out)]
 
 
+def _no_read(*args):
+    raise AssertionError("an input was read")
+
+
+@pytest.mark.parametrize("name", ["res.csv", "res.CSV"])
+@pytest.mark.parametrize("argv", [_search_argv, _enumerate_argv], ids=["search", "enumerate"])
+def test_a_results_path_ending_in_csv_is_a_usage_error(micro_files, monkeypatch, capsys, argv, name):
+    # Its .csv sibling is the same name (or, on a case-insensitive file
+    # system, the same file), so the CSV would overwrite the results JSON.
+    monkeypatch.setattr(storage, "read_model", _no_read)
+    before = sorted(micro_files["dir"].iterdir())
+    assert run(argv(micro_files, micro_files["dir"] / name, 1)) == 1
+    assert f"argument --out: '{micro_files['dir'] / name}' ends in .csv" in capsys.readouterr().err
+    assert sorted(micro_files["dir"].iterdir()) == before
+
+
+@pytest.mark.parametrize("masks_out", ["p.opsh", "sub/../p.opsh"])
+def test_prune_outputs_naming_one_file_are_a_usage_error(micro_files, monkeypatch, capsys, masks_out):
+    monkeypatch.chdir(micro_files["dir"])
+    monkeypatch.setattr(storage, "read_model", _no_read)
+    argv = ["prune", "--model", str(micro_files["model"]), "--stats", str(micro_files["stats"]),
+            "--metric", "wanda", "--sparsity", "0.5", "--out", str(micro_files["dir"] / "p.opsh")]
+    assert run([*argv, "--masks-out", masks_out]) == 1
+    assert "--masks-out names the --out file" in capsys.readouterr().err
+    assert not (micro_files["dir"] / "p.opsh").exists()
+
+
 def test_search_with_workers_matches_one_worker_and_leaves_no_process(micro_files, monkeypatch, capsys):
     monkeypatch.setattr(objective, "_usable_cpus", lambda: 3)
     one = micro_files["dir"] / "one.json"
@@ -193,8 +220,8 @@ def test_enumerate_with_workers_matches_one_worker_and_leaves_no_process(micro_f
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_scoring_commands_free_their_context_before_writing(micro_files, monkeypatch, capsys, jobs):
-    # The fitness cache holds params/8 bytes per distinct mask set: writing
-    # the results must not add its own peak on top of it.
+    # The context holds a float64 copy of the model and the dense hidden
+    # cache: writing the results must not add its own peak on top of them.
     def live_contexts():
         return {id(o) for o in gc.get_objects() if isinstance(o, objective.EvalContext)}
 

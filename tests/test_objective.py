@@ -234,7 +234,11 @@ def test_exhaustive_masks_once_per_group_and_copies_once_per_mask_set(mini_weigh
     # 49 (alpha, f1) groups x 14 sub-modules; no group is split at this width.
     assert len(build_calls) == 49 * 7 * mini_weights.config.n_layers
     assert all(shape[0] == 49 for shape in build_calls)
-    assert len(copies) == len(ctx.fitness_by_masks) < SPACE_SIZE
+    assert len(copies) == _distinct_mask_sets(ctx, all_configs()) < SPACE_SIZE
+
+
+def _distinct_mask_sets(ctx, kinds):
+    return len({packed for _, packed in prune.packed_mask_sets(ctx.weights, ctx.stats, kinds, ctx.spec)})
 
 
 def test_evaluate_configs_keeps_input_order_and_duplicates(mini_weights, mini_calib):
@@ -255,7 +259,7 @@ def test_worker_scores_are_bit_identical_to_in_process(mini_weights, mini_calib,
     kinds += kinds[:40]
     local = make_context(mini_weights, mini_calib, spec)
     expected = evaluate_configs(local, kinds)
-    assert 32 < len(local.fitness_by_masks) < len(set(kinds))
+    assert 32 < _distinct_mask_sets(local, kinds) < len(set(kinds))
 
     monkeypatch.setattr(objective, "_usable_cpus", lambda: 2)
     with scoring_workers(make_context(mini_weights, mini_calib, spec), jobs=2) as pooled:
@@ -263,7 +267,6 @@ def test_worker_scores_are_bit_identical_to_in_process(mini_weights, mini_calib,
         assert len(multiprocessing.active_children()) == 2
     assert multiprocessing.active_children() == []
     assert got == expected
-    assert pooled.fitness_by_masks == {}  # the workers keep the cache
 
 
 def _class_of(kind):
@@ -287,7 +290,6 @@ def test_workers_mask_and_score_whole_class_shards(mini_weights, mini_calib, mon
         monkeypatch.setattr(pooled.workers, "map", lambda fn, shards: sent.extend(shards) or pool_map(fn, shards))
         got = evaluate_configs(pooled, kinds)
     assert got == expected
-    assert pooled.fitness_by_masks == {}
 
     assert 1 < len(sent) <= workers
     dealt = [kind for shard in sent for kind in shard]
@@ -316,7 +318,24 @@ def test_a_pooled_exhaustive_search_holds_no_mask_set_in_the_parent(monkeypatch)
     # The trial log and the pickled shards take about 1.1 MB. Holding the new
     # mask sets (434 x 2.5 KB) and the masking stacks here took 5.6 MB.
     assert peak < 2_000_000, f"{peak / 1e6:.2f} MB"
-    assert len(result.trials) == SPACE_SIZE and pooled.fitness_by_masks == {}
+    assert len(result.trials) == SPACE_SIZE
+
+
+def test_a_context_retains_nothing_after_a_search():
+    # 32 KiB per packed mask set at this width, and about 435 distinct sets:
+    # a context that kept them would hold about 14 MB.
+    config = ModelConfig(vocab_size=128, d_model=64, n_layers=4, n_heads=4, d_ff=256, max_seq_len=64)
+    calib = synthetic_calibration(config.vocab_size, 2, 16, seed=7)
+    ctx = make_context(init_model(config, seed=42), calib, Unstructured(0.5))
+    tracemalloc.start()
+    try:
+        result = exhaustive_search(ctx)
+        assert len(result.trials) == SPACE_SIZE
+        del result
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 1_000_000, f"{retained / 1e6:.2f} MB"
 
 
 def test_one_worker_forks_nothing(mini_ctx):
