@@ -2,7 +2,8 @@
 
 Reports are plot-ready tables; rendering is left to downstream tooling. Each
 builder returns the report document itself: the dict that `emit_report`
-writes as JSON, and whose per-layer summary it writes as CSV.
+writes as JSON, and whose per-layer summary it writes as CSV. Every mean is
+an objective.ordered_mean, summed in order.
 """
 
 import csv
@@ -13,6 +14,7 @@ import numpy as np
 
 from .metric import Magnitude, MetricKind, activation_factor, check_stats, weight_factor
 from .model import SUB_MODULES, ModelWeights, sub_module_key, sub_module_shapes
+from .objective import ordered_mean
 
 # The per-layer columns each kind of report writes as CSV.
 _CSV_COLUMNS = {
@@ -43,12 +45,12 @@ def alignment_discrepancy(weights: ModelWeights, stats: dict, kind: MetricKind) 
                 "activation_sum": activation_sum,
                 "difference": abs(weight_sum - activation_sum),
             })
-        mean_difference = sum(entry["difference"] for entry in sub_modules) / len(sub_modules)
+        mean_difference = ordered_mean([entry["difference"] for entry in sub_modules])
         layers.append({"layer": i, "mean_difference": mean_difference, "sub_modules": sub_modules})
     return {
         "kind": "alignment",
         "metric": str(kind),
-        "model_mean": sum(layer["mean_difference"] for layer in layers) / len(layers),
+        "model_mean": ordered_mean([layer["mean_difference"] for layer in layers]),
         "layers": layers,
     }
 
@@ -69,8 +71,8 @@ def distribution_summary(weights: ModelWeights, stats: dict) -> dict:
             a_totals.append(float(stats[key].v.sum()))
         layers.append({
             "layer": i,
-            "weight_l1_mean": sum(w_totals) / len(w_totals),
-            "activation_l2_mean": sum(a_totals) / len(a_totals),
+            "weight_l1_mean": ordered_mean(w_totals),
+            "activation_l2_mean": ordered_mean(a_totals),
         })
     return {"kind": "distribution", "layers": layers}
 

@@ -12,17 +12,18 @@ from pathlib import Path
 
 from . import io as storage
 from .analysis import alignment_discrepancy, distribution_summary, emit_report
-from .metric import PRESET_NAMES, MetricKind, parse_kind
+from .metric import PRESET_NAMES, parse_kind
 from .model import ModelConfig, init_model
 from .objective import (
     collect_activation_stats,
     dense_hidden_cache,
     divergence,
     make_context,
+    ordered_mean,
     scoring_workers,
     synthetic_calibration,
 )
-from .prune import SparsitySpec, parse_sparsity, prune_masks
+from .prune import parse_sparsity, prune_masks
 from .search import SearchParams, exhaustive_search, nsga2_search, random_search
 
 _METRIC_HELP = (
@@ -46,18 +47,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _metric_arg(text: str) -> MetricKind:
-    try:
-        return parse_kind(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _flag_type(parse):
+    """An argparse type for a library parser: its ValueError is a usage error."""
 
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-def _sparsity_arg(text: str) -> SparsitySpec:
-    try:
-        return parse_sparsity(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
 def _int_at_least(minimum: int):
@@ -118,8 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prune", help="prune a model with a metric and sparsity")
     p.add_argument("--model", required=True)
     p.add_argument("--stats", required=True)
-    p.add_argument("--metric", type=_metric_arg, required=True, help=_METRIC_HELP)
-    p.add_argument("--sparsity", type=_sparsity_arg, required=True, help=_SPARSITY_HELP)
+    p.add_argument("--metric", type=_flag_type(parse_kind), required=True, help=_METRIC_HELP)
+    p.add_argument("--sparsity", type=_flag_type(parse_sparsity), required=True, help=_SPARSITY_HELP)
     p.add_argument("--out", required=True)
     p.add_argument("--masks-out", help="also write the masks to this path, which must differ from --out")
     p.set_defaults(func=_cmd_prune)
@@ -133,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="search the config space for the lowest divergence")
     p.add_argument("--model", required=True)
     p.add_argument("--calib", required=True)
-    p.add_argument("--sparsity", type=_sparsity_arg, required=True, help=_SPARSITY_HELP)
+    p.add_argument("--sparsity", type=_flag_type(parse_sparsity), required=True, help=_SPARSITY_HELP)
     p.add_argument("--algo", choices=("nsga2", "random"), default="nsga2")
     p.add_argument("--budget", type=int, default=350)
     p.add_argument("--pop", type=int, default=24)
@@ -145,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="evaluate all 2401 configs (the exact oracle)")
     p.add_argument("--model", required=True)
     p.add_argument("--calib", required=True)
-    p.add_argument("--sparsity", type=_sparsity_arg, required=True, help=_SPARSITY_HELP)
+    p.add_argument("--sparsity", type=_flag_type(parse_sparsity), required=True, help=_SPARSITY_HELP)
     p.add_argument("--jobs", type=_int_at_least(1), default=1, help=_JOBS_HELP)
     p.add_argument("--out", type=_results_path, required=True, help=_RESULTS_HELP)
     p.set_defaults(func=_cmd_enumerate)
@@ -153,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("align", help="report weight-activation alignment gaps")
     p.add_argument("--model", required=True)
     p.add_argument("--stats", required=True)
-    p.add_argument("--metric", type=_metric_arg, required=True, help=_METRIC_HELP)
+    p.add_argument("--metric", type=_flag_type(parse_kind), required=True, help=_METRIC_HELP)
     p.add_argument("--out", required=True, help="report path; .csv extension selects CSV, else JSON")
     p.set_defaults(func=_cmd_align)
 
@@ -212,7 +211,7 @@ def _cmd_prune(args) -> int:
     if args.masks_out:
         storage.write_masks(args.masks_out, masks)
     # The mean over sub-modules of the fraction of weights each mask drops.
-    overall = sum(1.0 - float(m.bits.sum()) / m.bits.size for m in masks.values()) / len(masks)
+    overall = ordered_mean([1.0 - float(m.bits.sum()) / m.bits.size for m in masks.values()])
     print(f"pruned {len(masks)} sub-modules (mean sparsity {overall:.4f}) to {args.out}")
     return 0
 

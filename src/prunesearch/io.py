@@ -11,6 +11,8 @@ Weights are float32 on disk and in memory: a model read back is the payload
 of its file, and arithmetic widens the weights to float64 where it reads them.
 Writers are deterministic: identical inputs produce byte-identical files.
 Readers reject anything a writer could not have produced, with a diagnostic.
+A reader checks syntax, and the record it builds checks values: read_stats
+checks each entry's JSON shape, and SubModuleStats its values.
 """
 
 import csv
@@ -224,10 +226,10 @@ def read_calib(path) -> CalibrationSet:
         # Ids out of the vocabulary are checked when used; ids beyond int64
         # could not reach that check.
         tokens = record["tokens"]
-        if not isinstance(tokens, list) or not all(
+        if not isinstance(tokens, list) or not tokens or not all(
             type(t) is int and -(2**63) <= t < 2**63 for t in tokens
         ):
-            raise FormatError(f"{path}:{lineno}: 'tokens' must be an array of int64 integers")
+            raise FormatError(f"{path}:{lineno}: 'tokens' must be a non-empty array of int64 integers")
         sequences.append(tuple(tokens))
     if not sequences:
         raise FormatError("empty calibration set")
@@ -255,33 +257,20 @@ def read_stats(path) -> ActivationStats:
         raise FormatError(f"{path}: stats document must be a JSON object")
     stats: ActivationStats = {}
     for key, entry in doc.items():
-        if not isinstance(entry, dict):
-            raise FormatError(f"stats[{key!r}]: expected an object")
-        for field in ("v", "l1", "token_count"):
-            if field not in entry:
-                raise FormatError(f"stats[{key!r}].{field}: missing")
-        v = entry["v"]
-        l1 = entry["l1"]
-        if not isinstance(v, list) or not isinstance(l1, list) or len(v) != len(l1):
-            raise FormatError(f"stats[{key!r}]: v and l1 must be equal-length arrays")
-        # Exact type checks: json.loads gives bool for true/false, and bool is
-        # a subclass of int; nested arrays and strings would convert silently.
-        token_count = entry["token_count"]
-        if type(token_count) is not int or token_count < 0:
-            raise FormatError(f"stats[{key!r}].token_count: must be a nonnegative integer")
-        arrays = {}
-        for field, values in (("v", v), ("l1", l1)):
-            if not all(type(x) in (int, float) for x in values):
+        if not isinstance(entry, dict) or set(entry) != {"v", "l1", "token_count"}:
+            raise FormatError(f"stats[{key!r}]: expected an object with exactly v, l1 and token_count")
+        for field in ("v", "l1"):
+            # Exact types: true/false load as bool, an int subclass; nested arrays would convert.
+            if not isinstance(entry[field], list) or not all(type(x) in (int, float) for x in entry[field]):
                 raise FormatError(f"stats[{key!r}].{field}: must be a flat array of numbers")
             try:
-                arr = np.asarray(values, dtype=np.float64)
-                valid = bool((np.isfinite(arr) & (arr >= 0.0)).all())
-            except OverflowError:  # an integer literal beyond float64
-                valid = False
-            if not valid:
-                raise FormatError(f"stats[{key!r}].{field}: values must be finite and nonnegative")
-            arrays[field] = arr
-        stats[key] = SubModuleStats(v=arrays["v"], l1=arrays["l1"], token_count=token_count)
+                entry[field] = np.asarray(entry[field], dtype=np.float64)
+            except OverflowError:
+                raise FormatError(f"stats[{key!r}].{field}: an integer beyond float64") from None
+        try:
+            stats[key] = SubModuleStats(**entry)
+        except ValueError as exc:  # the record's own checks name the field
+            raise FormatError(f"stats[{key!r}].{exc}") from None
     if not stats:
         raise FormatError(f"{path}: stats document is empty")
     return stats

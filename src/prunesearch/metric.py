@@ -116,11 +116,24 @@ MetricKind = MetricConfig | Magnitude
 
 @dataclass(eq=False)
 class SubModuleStats:
-    """Per-input-feature activation statistics for one linear sub-module."""
+    """Per-input-feature activation statistics for one linear sub-module,
+    checked when made: a bad field raises a ValueError that names it."""
 
     v: np.ndarray  # ||X_j||_2 over all calibration tokens
     l1: np.ndarray  # sum_t |X_tj| over all calibration tokens
     token_count: int
+
+    def __post_init__(self):
+        for field in ("v", "l1"):
+            values = getattr(self, field)
+            if not isinstance(values, np.ndarray) or values.ndim != 1 or values.dtype.kind != "f":
+                raise ValueError(f"{field}: must be a 1-D float array")
+            if not (np.isfinite(values) & (values >= 0.0)).all():
+                raise ValueError(f"{field}: activation statistics must be finite and nonnegative")
+        if self.l1.size != self.v.size:
+            raise ValueError(f"l1: {self.l1.size} values, but v has {self.v.size}")
+        if type(self.token_count) is not int or self.token_count < 0:  # bool is an int subclass
+            raise ValueError("token_count: must be a nonnegative integer")
 
 
 def weight_coefficient(w: np.ndarray, coeff: Coeff) -> np.ndarray:

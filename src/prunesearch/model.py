@@ -232,7 +232,4 @@ def forward(weights: ModelWeights, tokens,
 
 def final_hidden_batch(weights: ModelWeights, calib) -> list[np.ndarray]:
     """Final hidden states for every calibration sequence, in input order."""
-    sequences = list(calib.sequences)
-    if not sequences:
-        raise ValueError("empty calibration set")
-    return [forward(weights, seq) for seq in sequences]
+    return [forward(weights, seq) for seq in calib.sequences]

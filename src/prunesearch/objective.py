@@ -112,8 +112,11 @@ def divergence(dense_hidden: list[np.ndarray], pruned: ModelWeights, calib: Cali
     sequences = calib.sequences
     if len(dense_hidden) != len(sequences):
         raise ValueError(f"cache holds {len(dense_hidden)} sequences, calibration has {len(sequences)}")
-    return _mean_fitness(list(_per_sequence(
+    l_div = ordered_mean(list(_per_sequence(
         lambda i: _divergence_term(dense_hidden[i], pruned, sequences[i]), calib, pruned.config)))
+    if not np.isfinite(l_div) or l_div < 0.0:
+        raise ValueError("divergence must be finite and nonnegative")
+    return l_div
 
 
 def _divergence_term(ref: np.ndarray, pruned: ModelWeights, seq: tuple[int, ...]) -> float:
@@ -123,15 +126,12 @@ def _divergence_term(ref: np.ndarray, pruned: ModelWeights, seq: tuple[int, ...]
     return token_mean_sqdist(ref, h)
 
 
-def _mean_fitness(terms: list[float]) -> float:
-    """The mean of the terms, summed in order; one not finite and nonnegative raises."""
+def ordered_mean(values: Sequence[float]) -> float:
+    """The mean summed left to right: builtin sum is compensated from Python 3.12 on."""
     total = 0.0
-    for term in terms:
-        total += term
-    l_div = total / len(terms)
-    if not np.isfinite(l_div) or l_div < 0.0:
-        raise ValueError("divergence must be finite and nonnegative")
-    return l_div
+    for value in values:
+        total += value
+    return total / len(values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,15 +245,16 @@ def scoring_workers(ctx: EvalContext, jobs: int) -> Iterator[EvalContext]:
     """ctx, with its configs masked and scored on worker_count(jobs, usable
     CPUs) processes while the block runs.
 
-    With one worker ctx itself is yielded: nothing is forked and
-    multiprocessing is not imported. Otherwise the yielded context shares
-    ctx's inputs and carries a _fork_pool and its worker count. The workers
-    inherit ctx, and each task is one shard of an evaluate_configs call, a
-    list of kinds that the worker masks and scores with evaluate_configs on
-    its own copy of ctx; each result is one float per kind. A task depends
-    only on ctx and its shard: a worker keeps nothing from one task to the
-    next, and the parent masks nothing. A worker runs the divergence passes
-    of its tasks itself: _per_sequence forks no pool inside a pool.
+    With one worker ctx itself is yielded, and each mask set scored forks a
+    calibration pool if its divergence pass holds POOL_MIN_MACS multiply-adds
+    (below that nothing is forked). Otherwise the yielded context shares ctx's
+    inputs and carries a _fork_pool and its worker count. The workers inherit
+    ctx, and each task is one shard of an evaluate_configs call, a list of
+    kinds that the worker masks and scores with evaluate_configs on its own
+    copy of ctx; each result is one float per kind. A task depends only on
+    ctx and its shard: a worker keeps nothing from one task to the next, and
+    the parent masks nothing. A worker runs the divergence passes of its
+    tasks itself: _per_sequence forks no pool inside a pool.
     """
     workers = worker_count(jobs, _usable_cpus())
     if workers == 1:

@@ -122,8 +122,6 @@ class _TrialLog:
         return out
 
     def result(self, algorithm: str, seed: int | None) -> SearchResult:
-        if not self.trials:
-            raise ValueError("no trials were evaluated")
         best_index = min(range(len(self.trials)), key=lambda i: (self.trials[i][2], i))
         _, best_config, best_l_div = self.trials[best_index]
         return SearchResult(

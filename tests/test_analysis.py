@@ -335,3 +335,12 @@ def test_report_bytes_pinned(tmp_path):
     for name, text in expected.items():
         emit_report(align if name.startswith("align") else dist, tmp_path / name)
         assert (tmp_path / name).read_bytes() == text.encode()
+
+
+def test_report_means_are_summed_in_order():
+    # Summed in order, 1e16 + 1.0 rounds back to 1e16 at every step; a
+    # compensated sum (builtin sum from Python 3.12 on) keeps the six ones.
+    model = flat_model([[1.0, 1.0], [1.0, 1.0]])
+    stats = flat_stats(model, [1.0, 0.0])
+    stats["layer.0.q"] = SubModuleStats(v=np.array([1e16, 0.0]), l1=np.array([1e16, 0.0]), token_count=4)
+    assert distribution_summary(model, stats)["layers"][0]["activation_l2_mean"] == 1428571428571428.5

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from prunesearch import objective
 from prunesearch.analysis import distribution_summary, emit_report
 from prunesearch.cli import build_parser, run
 from prunesearch.metric import PRESET_NAMES
+from prunesearch.model import ModelWeights
 from prunesearch.objective import collect_activation_stats
 
 MICRO = [
@@ -625,6 +627,27 @@ def _cli_exit(argv) -> tuple[int, str]:
     done = subprocess.run([sys.executable, "-c", "from prunesearch.cli import main; main()", *map(str, argv)],
                           capture_output=True, text=True, timeout=60, env=env)
     return done.returncode, done.stderr
+
+
+@pytest.mark.parametrize("command", ["stats", "search", "enumerate"])
+def test_overflowing_activations_exit_2_and_write_nothing(micro_files, command):
+    # Every tensor +-3e38 is valid float32, but the down projection's inputs
+    # overflow float64 when squared, so the activation stats are infinite. The
+    # CLI runs in its own process: numpy's overflow warnings are errors under pytest.
+    weights = storage.read_model(micro_files["model"])
+    huge = {name: np.where(t >= 0, np.float32(3e38), np.float32(-3e38)) for name, t in weights.tensors.items()}
+    model = micro_files["dir"] / "huge.opsh"
+    storage.write_model(model, ModelWeights(weights.config, huge))
+    out = micro_files["dir"] / "out.json"
+    inputs = ["--model", model, "--calib", micro_files["calib"], "--out", out]
+    argv = {"stats": ["stats", *inputs],
+            "search": ["search", *inputs, "--sparsity", "0.5", "--budget", "8", "--pop", "8"],
+            "enumerate": ["enumerate", *inputs, "--sparsity", "0.5"]}[command]
+    code, err = _cli_exit(argv)
+    assert code == 2 and "Traceback" not in err, err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: v: activation statistics must be finite and nonnegative"], err
+    assert not out.exists() and not out.with_suffix(".csv").exists()
 
 
 def _assert_ends_in_a_code(argv, seed: int) -> None:

@@ -462,6 +462,10 @@ def test_read_calib_rejects_malformed(tmp_path):
     path.write_text('{"tokens": [1, 2]}\n{"tokens": [3], "ids": [4]}\n')
     with pytest.raises(storage.FormatError, match="bad.jsonl:2: .*only a 'tokens'"):
         storage.read_calib(path)
+    # CalibrationSet rejects an empty sequence too, but could not name the line.
+    path.write_text('{"tokens": [1, 2]}\n{"tokens": []}\n')
+    with pytest.raises(storage.FormatError, match="bad.jsonl:2: 'tokens' must be a non-empty array"):
+        storage.read_calib(path)
 
 
 def test_stats_round_trip_exact(tmp_path, mini_stats):
@@ -508,6 +512,26 @@ def test_read_stats_rejects_non_finite_or_negative(tmp_path, mini_stats, field, 
         entry[field] = value
     path.write_text(json.dumps(doc))
     with pytest.raises(storage.FormatError, match=rf"layer.0.q.*{field}"):
+        storage.read_stats(path)
+
+
+def test_read_stats_rejects_an_extra_field(tmp_path, mini_stats):
+    path = tmp_path / "stats.json"
+    storage.write_stats(path, mini_stats)
+    doc = json.loads(path.read_text())
+    doc["layer.0.q"]["mean"] = 1.0
+    path.write_text(json.dumps(doc))
+    with pytest.raises(storage.FormatError, match=r"stats\['layer.0.q'\]: expected an object with exactly v, l1"):
+        storage.read_stats(path)
+
+
+def test_read_stats_names_the_field_the_record_rejects(tmp_path, mini_stats):
+    path = tmp_path / "stats.json"
+    storage.write_stats(path, mini_stats)
+    doc = json.loads(path.read_text())
+    doc["layer.0.q"]["l1"].append(1.0)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(storage.FormatError, match=r"^stats\['layer.0.q'\]\.l1: "):
         storage.read_stats(path)
 
 

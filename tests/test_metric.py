@@ -257,3 +257,29 @@ def test_float32_weights_score_like_their_float64_copy():
             scores = score(w, stats, kind)
             assert scores.dtype == np.float64
             assert scores.tobytes() == score(wide, stats, kind).tobytes()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        pytest.param("v", [1.0, 2.0], id="v-list"),
+        pytest.param("v", np.ones((2, 1)), id="v-2d"),
+        pytest.param("v", np.array([1, 2]), id="v-int"),
+        pytest.param("v", np.array([1.0, float("nan")]), id="v-nan"),
+        pytest.param("v", np.array([1.0, -1.0]), id="v-negative"),
+        pytest.param("l1", np.array([float("inf"), 1.0]), id="l1-inf"),
+        pytest.param("l1", np.array([1.0, 2.0, 3.0]), id="l1-longer"),
+        pytest.param("token_count", -1, id="token_count-negative"),
+        pytest.param("token_count", True, id="token_count-bool"),
+        pytest.param("token_count", 4.0, id="token_count-float"),
+    ],
+)
+def test_sub_module_stats_rejects_each_bad_field(field, value):
+    fields = {"v": np.array([1.0, 2.0]), "l1": np.array([1.0, 2.0]), "token_count": 4, field: value}
+    with pytest.raises(ValueError, match=rf"^{field}: "):
+        SubModuleStats(**fields)
+
+
+def test_sub_module_stats_accepts_zeros_and_no_tokens():
+    stats = SubModuleStats(v=np.zeros(3), l1=np.zeros(3), token_count=0)
+    assert stats.v.size == stats.l1.size == 3

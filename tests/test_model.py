@@ -245,11 +245,3 @@ def test_final_hidden_batch_order(mini_weights, mini_calib):
     flipped = final_hidden_batch(mini_weights, reordered)
     for a, b in zip(hidden, reversed(flipped)):
         assert np.array_equal(a, b)
-
-
-def test_final_hidden_batch_rejects_empty(mini_weights):
-    class Empty:
-        sequences = ()
-
-    with pytest.raises(ValueError):
-        final_hidden_batch(mini_weights, Empty())
