@@ -12,8 +12,9 @@ an optional observer as soon as the block exists, and keeps none of them.
 """
 
 import collections
+import contextlib
 import functools
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,7 +120,32 @@ def init_model(config: ModelConfig, seed: int) -> ModelWeights:
 
 
 def rmsnorm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    return x / np.sqrt((x * x).mean(axis=-1, keepdims=True) + RMSNORM_EPS) * gain
+    # The sum over the width is what ndarray.mean sums, and the same division
+    # by the width follows, without mean's Python-level bookkeeping. The
+    # squares' buffer then takes the output: one temporary of x's size.
+    out = x * x
+    scale = np.add.reduce(out, axis=-1, keepdims=True)
+    scale /= x.shape[-1]
+    scale += RMSNORM_EPS
+    np.sqrt(scale, out=scale)
+    np.divide(x, scale, out=out)
+    out *= gain
+    return out
+
+
+@contextlib.contextmanager
+def overflow_is_an_error(what: str) -> Iterator[None]:
+    """Float64 overflow inside the block raises a ValueError naming `what`,
+    at the first operation that overflows, in place of numpy's warning and an
+    inf that a later step can turn into a plausible number (x / inf is 0).
+    Numpy checks the floating-point flags after every operation anyway, so
+    the block runs at the same speed; a nested errstate, as in silu, still
+    decides for its own operations."""
+    with np.errstate(over="raise"):
+        try:
+            yield
+        except FloatingPointError as exc:
+            raise ValueError(f"{what} overflows float64 ({exc}): the model's values are too large") from None
 
 
 def silu(x: np.ndarray) -> np.ndarray:
@@ -133,28 +159,40 @@ def silu(x: np.ndarray) -> np.ndarray:
     return np.divide(x, out, out=out)
 
 
-def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax over the last axis, max-subtracted for stability.
+def softmax_rows(logits: np.ndarray, future: np.ndarray) -> np.ndarray:
+    """Causal row-wise softmax over the last axis, max-subtracted for
+    stability, written over `logits`, which is returned.
 
-    Rows may contain -inf (masked positions); those get probability exactly
-    zero without taking exp of them. The argument is not written to.
+    future is _future_mask(t) for logits of t keys, broadcast over the
+    leading axes: True above the diagonal, at the keys a query must not see.
+    Those entries get probability exactly +0.0; neither the row max nor exp
+    reads or writes them before they are zeroed.
     """
-    keep = logits != -np.inf
-    probs = np.zeros_like(logits)
-    np.subtract(logits, logits.max(axis=-1, keepdims=True), out=probs, where=keep)
-    np.exp(probs, out=probs, where=keep)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    return probs
+    visible = _visible_mask(future.shape[-1])
+    top = np.maximum.reduce(logits, axis=-1, keepdims=True, where=visible, initial=-np.inf)
+    np.subtract(logits, top, out=logits, where=visible)
+    np.exp(logits, out=logits, where=visible)
+    np.copyto(logits, 0.0, where=future)
+    logits /= np.add.reduce(logits, axis=-1, keepdims=True)
+    return logits
 
 
 @functools.lru_cache(maxsize=64)
 def _future_mask(t: int) -> np.ndarray:
     # True above the diagonal: the keys each query of a length-t sequence must
     # not see. Read-only and kept for the 64 most recently used lengths, t*t
-    # bytes each (about 1 MB for 32 lengths up to 256).
+    # bytes each (about 1 MB for 32 lengths up to 256), as is _visible_mask.
     future = np.triu(np.ones((t, t), dtype=bool), k=1)
     future.flags.writeable = False
     return future
+
+
+@functools.lru_cache(maxsize=64)
+def _visible_mask(t: int) -> np.ndarray:
+    # The complement of _future_mask(t): the diagonal and below.
+    visible = ~_future_mask(t)
+    visible.flags.writeable = False
+    return visible
 
 
 def _causal_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int) -> np.ndarray:
@@ -166,17 +204,17 @@ def _causal_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int)
     vh = v.reshape(t, n_heads, hd).transpose(1, 0, 2)
     future = _future_mask(t)
     mixed = np.empty((t, n_heads, hd))
-    # Heads in groups, so that the logits and probabilities held at once are
-    # at most n_heads x ATTENTION_ROWS x t entries each; up to ATTENTION_ROWS
-    # tokens all heads are one group. Every head is its own matrix product,
-    # softmax and mix in any grouping, so the bits do not depend on it.
+    # Heads in groups, so that the logits (turned into probabilities in
+    # place) held at once are at most n_heads x ATTENTION_ROWS x t entries;
+    # up to ATTENTION_ROWS tokens all heads are one group. Every head is its
+    # own matrix product, softmax and mix in any grouping, so the bits do not
+    # depend on it.
     group = max(1, n_heads * ATTENTION_ROWS // t)
     for first in range(0, n_heads, group):
         heads = slice(first, first + group)
         logits = qh[heads] @ kh[heads].transpose(0, 2, 1)
         logits /= np.sqrt(hd)
-        np.copyto(logits, -np.inf, where=future)
-        mixed[:, heads] = (softmax_rows(logits) @ vh[heads]).transpose(1, 0, 2)
+        mixed[:, heads] = (softmax_rows(logits, future) @ vh[heads]).transpose(1, 0, 2)
     return mixed.reshape(t, d)
 
 
@@ -202,32 +240,34 @@ def forward(weights: ModelWeights, tokens,
     prunable sub-modules exists: per layer the keys (q, k, v), (o,), (gate, up)
     and (down,), as "layer.L.name", each with the exact T x in_features matrix
     they read, which observe must not write to. Observing does not change the
-    computation.
+    computation. A float64 overflow in the pass, observe included, is a
+    ValueError (overflow_is_an_error).
     """
     cfg = weights.config
     ids = token_ids(cfg, tokens)
     t = ids.size
     tensors = weights.tensors
-    # The only sum of two weight tensors: widened first. Everywhere else a
-    # float64 activation meets the weights, and numpy widens them exactly.
-    x = tensors["token_embedding"][ids].astype(np.float64) + tensors["position_embedding"][:t]
+    with overflow_is_an_error("the forward pass"):
+        # The only sum of two weight tensors: widened first. Everywhere else a
+        # float64 activation meets the weights, and numpy widens them exactly.
+        x = tensors["token_embedding"][ids].astype(np.float64) + tensors["position_embedding"][:t]
 
-    for keys in _block_keys(cfg):
-        w = _Block(*(tensors[name] for name in keys))
-        h = rmsnorm(x, w.attn_norm)
-        observe((keys.q, keys.k, keys.v), h)
-        mixed = _causal_attention(h @ w.q, h @ w.k, h @ w.v, cfg.n_heads)
-        observe((keys.o,), mixed)
-        x = x + mixed @ w.o
+        for keys in _block_keys(cfg):
+            w = _Block(*(tensors[name] for name in keys))
+            h = rmsnorm(x, w.attn_norm)
+            observe((keys.q, keys.k, keys.v), h)
+            mixed = _causal_attention(h @ w.q, h @ w.k, h @ w.v, cfg.n_heads)
+            observe((keys.o,), mixed)
+            x = x + mixed @ w.o
 
-        h = rmsnorm(x, w.mlp_norm)
-        observe((keys.gate, keys.up), h)
-        inner = silu(h @ w.gate)
-        inner *= h @ w.up
-        observe((keys.down,), inner)
-        x = x + inner @ w.down
+            h = rmsnorm(x, w.mlp_norm)
+            observe((keys.gate, keys.up), h)
+            inner = silu(h @ w.gate)
+            inner *= h @ w.up
+            observe((keys.down,), inner)
+            x = x + inner @ w.down
 
-    return rmsnorm(x, tensors["final_norm"])
+        return rmsnorm(x, tensors["final_norm"])
 
 
 def final_hidden_batch(weights: ModelWeights, calib) -> list[np.ndarray]:

@@ -17,7 +17,15 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .metric import Magnitude, MetricKind, SubModuleStats, mask_equivalence_key
-from .model import ModelConfig, ModelWeights, final_hidden_batch, forward, sub_module_shapes, token_ids
+from .model import (
+    ModelConfig,
+    ModelWeights,
+    final_hidden_batch,
+    forward,
+    overflow_is_an_error,
+    sub_module_shapes,
+    token_ids,
+)
 from .prune import SparsitySpec, apply_masks, packed_mask_sets, unpack_mask_set
 
 if TYPE_CHECKING:
@@ -58,15 +66,18 @@ def collect_activation_stats(weights: ModelWeights, calib: CalibrationSet) -> Ac
 
     v_j is the L2 norm of input feature j across every token of every
     calibration sequence (running sum of squares, square-rooted at the end).
+    A float64 overflow in a forward, its reductions or their sums is a
+    ValueError.
     """
     sumsq: dict[str, np.ndarray] = {}
     l1: dict[str, np.ndarray] = {}
     sequences = calib.sequences
-    for partials in _per_sequence(lambda i: _stats_partials(weights, sequences[i]), calib, weights.config):
-        for key, (sq, ab) in partials.items():
-            # Not in place: keys that read one input block share its partials.
-            sumsq[key] = sumsq.get(key, 0.0) + sq
-            l1[key] = l1.get(key, 0.0) + ab
+    with overflow_is_an_error("the sum of the activation statistics"):
+        for partials in _per_sequence(lambda i: _stats_partials(weights, sequences[i]), calib, weights.config):
+            for key, (sq, ab) in partials.items():
+                # Not in place: keys that read one input block share its partials.
+                sumsq[key] = sumsq.get(key, 0.0) + sq
+                l1[key] = l1.get(key, 0.0) + ab
     tokens = sum(map(len, calib.sequences))
     return {
         key: SubModuleStats(v=np.sqrt(sumsq[key]), l1=l1[key], token_count=tokens)

@@ -126,15 +126,18 @@ def build_mask(scores: np.ndarray, spec: SparsitySpec) -> np.ndarray:
     if scores.ndim < 2:
         raise ValueError(f"scores must be output x input, got shape {scores.shape}")
     width, keep = spec.groups(scores.shape[-1])
-    neg = -scores.reshape(-1, width)
     if keep in (0, width):
         return np.full(scores.shape, keep == width)
-    ranked = np.sort(neg, axis=1)
+    # Sorted negated, so the largest scores come first and NaN last; -s is
+    # exact, so -s <= last is s >= -last.
+    groups = scores.reshape(-1, width)
+    ranked = np.negative(groups)
+    ranked.sort(axis=1)
     last, first_out = ranked[:, keep - 1], ranked[:, keep]
-    bits = neg <= last[:, None]
+    bits = groups >= -last[:, None]
     tied = np.flatnonzero((last == first_out) | np.isnan(last))
     if tied.size:
-        order = np.argsort(neg[tied], axis=1, kind="stable")
+        order = np.argsort(np.negative(groups[tied]), axis=1, kind="stable")
         stable = np.zeros((tied.size, width), dtype=bool)
         np.put_along_axis(stable, order[:, :keep], True, axis=1)
         bits[tied] = stable
@@ -142,10 +145,14 @@ def build_mask(scores: np.ndarray, spec: SparsitySpec) -> np.ndarray:
 
 
 def apply_mask(w: np.ndarray, mask: Mask) -> np.ndarray:
-    """Copy kept entries exactly; dropped entries become exactly zero."""
+    """Copy kept entries exactly; dropped entries become exactly +0.0. The
+    copy has w's dtype and memory layout, so the pruned copy of a transposed
+    view is itself a transposed view of a C-ordered array."""
     if w.shape != mask.bits.shape:
         raise ValueError(f"shape mismatch: weights {w.shape} vs mask {mask.bits.shape}")
-    return np.where(mask.bits, w, 0.0)
+    pruned = np.zeros_like(w)
+    np.copyto(pruned, w, where=mask.bits)
+    return pruned
 
 
 def packed_mask_sets(
@@ -230,7 +237,7 @@ def pruned_tensors(weights: ModelWeights, masks: MaskSet) -> Iterator[tuple[str,
     input's arrays, which stay untouched."""
     for name in tensor_shapes(weights.config):
         w = weights.tensors[name]
-        yield name, w if name not in masks else np.ascontiguousarray(apply_mask(w.T, masks[name]).T)
+        yield name, w if name not in masks else apply_mask(w.T, masks[name]).T
 
 
 def apply_masks(weights: ModelWeights, masks: MaskSet) -> ModelWeights:

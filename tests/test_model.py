@@ -102,30 +102,43 @@ def test_observe_does_not_change_output(mini_weights, mini_calib):
     assert forward(mini_weights, seq).tobytes() == observed.tobytes()
 
 
+def _future(t):
+    return np.triu(np.ones((t, t), dtype=bool), k=1)
+
+
 def test_attention_softmax_rows_sum_to_one():
     rng = np.random.default_rng(0)
-    logits = rng.normal(size=(3, 6, 6))
-    future = np.triu(np.ones((6, 6), dtype=bool), k=1)
-    masked = np.where(future, -np.inf, logits)
-    before = masked.copy()
-    probs = softmax_rows(masked)
+    probs = softmax_rows(rng.normal(size=(3, 6, 6)), _future(6))
     np.testing.assert_allclose(probs.sum(axis=-1), np.ones((3, 6)), atol=1e-9)
     assert (probs[:, 0, 1:] == 0.0).all()  # masked positions get zero weight
-    assert masked.tobytes() == before.tobytes()  # the argument is not written to
 
 
-def _reference_attention(q, k, v, n_heads):
+def _reference_softmax(logits, future):
     # The plain formulation: write -inf over the future, exp every entry,
     # divide by the row sums.
-    t, d = q.shape
-    hd = d // n_heads
-    qh, kh, vh = (a.reshape(t, n_heads, hd).transpose(1, 0, 2) for a in (q, k, v))
-    logits = qh @ kh.transpose(0, 2, 1) / np.sqrt(hd)
-    future = np.triu(np.ones((t, t), dtype=bool), k=1)
     logits = np.where(future, -np.inf, logits)
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    probs = e / e.sum(axis=-1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.filterwarnings("error")
+def test_softmax_rows_writes_the_probabilities_over_its_argument():
+    rng = np.random.default_rng(1)
+    logits = rng.normal(size=(3, 9, 9)) * 30.0
+    expected = _reference_softmax(logits, _future(9))
+    probs = softmax_rows(logits, _future(9))
+    assert probs is logits
+    assert probs.tobytes() == expected.tobytes()
+    # The future is exact +0.0, not -0.0 or a leftover logit.
+    assert not np.signbit(probs[:, _future(9)]).any()
+
+
+def _reference_attention(q, k, v, n_heads):
+    t, d = q.shape
+    hd = d // n_heads
+    qh, kh, vh = (a.reshape(t, n_heads, hd).transpose(1, 0, 2) for a in (q, k, v))
+    probs = _reference_softmax(qh @ kh.transpose(0, 2, 1) / np.sqrt(hd), _future(t))
     return (probs @ vh).transpose(1, 0, 2).reshape(t, d)
 
 
@@ -143,6 +156,20 @@ def test_causal_attention_is_bit_identical_to_reference(t, d, heads, scale):
     q *= scale  # logits scaled too
     expected = _reference_attention(q, k, v, heads)
     assert model._causal_attention(q, k, v, heads).tobytes() == expected.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [1, 2, 7, 8, 9, 63, 64, 65, 128, 255, 256])
+@pytest.mark.parametrize("heads", [1, 3, 8])
+def test_softmax_and_attention_are_bit_identical_to_reference_at_every_grouping(t, heads):
+    # 8 heads run 8 per group up to ATTENTION_ROWS tokens, then 7, 4 and 2;
+    # 3 heads run 3, 2 and then 1 per group.
+    rng = np.random.default_rng(t * 10 + heads)
+    logits = rng.normal(size=(heads, t, t)) * 10.0
+    expected = _reference_softmax(logits, _future(t))
+    assert softmax_rows(logits, model._future_mask(t)).tobytes() == expected.tobytes()
+    q, k, v = (rng.normal(size=(t, 8 * heads)) for _ in range(3))
+    assert model._causal_attention(q, k, v, heads).tobytes() == _reference_attention(q, k, v, heads).tobytes()
 
 
 def _assert_forward_matches_reference_attention(weights, t, monkeypatch):
@@ -195,7 +222,8 @@ def test_attention_holds_the_logits_of_a_head_group_at_a_time(monkeypatch, t, he
     # At most n_heads x ATTENTION_ROWS x t logits at once, as many as
     # ATTENTION_ROWS query rows of every head.
     seen = []
-    monkeypatch.setattr(model, "softmax_rows", lambda logits: seen.append(logits.shape) or softmax_rows(logits))
+    monkeypatch.setattr(model, "softmax_rows",
+                        lambda logits, future: seen.append(logits.shape) or softmax_rows(logits, future))
     q = np.random.default_rng(t).normal(size=(t, 8 * heads))
     model._causal_attention(q, q, q, heads)
     assert seen == [(g, t, t) for g in groups]
@@ -224,6 +252,18 @@ def test_rmsnorm_unit_gain_property():
     y = rmsnorm(x, np.ones(16))
     rms = np.sqrt((y * y).mean(axis=-1))
     np.testing.assert_allclose(rms, np.ones(10), atol=1e-6)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (64, 32), (7, 256), (3, 1000)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rmsnorm_is_bit_identical_to_the_mean_formula(shape, dtype):
+    rng = np.random.default_rng(shape[-1])
+    x = rng.normal(size=shape) * 30.0
+    gain = rng.normal(size=shape[-1]).astype(dtype)
+    before = x.tobytes()
+    expected = x / np.sqrt((x * x).mean(axis=-1, keepdims=True) + model.RMSNORM_EPS) * gain
+    assert rmsnorm(x, gain).tobytes() == expected.tobytes()
+    assert x.tobytes() == before
 
 
 def test_causal_masking_exact(mini_weights):

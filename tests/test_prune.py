@@ -385,6 +385,31 @@ def test_apply_mask():
     assert np.array_equal(apply_mask(w, Mask(bits=np.zeros((2, 2), dtype=bool))), np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_apply_mask_keeps_the_layout_and_writes_positive_zeros(dtype):
+    rng = np.random.default_rng(5)
+    stored = -np.abs(rng.normal(size=(6, 4))).astype(dtype)
+    for w in (stored, stored.T):  # pruned_tensors masks the transposed view
+        kept = rng.integers(0, 2, size=w.shape).astype(bool)
+        pruned = apply_mask(w, Mask(bits=kept))
+        assert pruned.dtype == dtype and pruned.strides == w.strides
+        assert (pruned[kept] == w[kept]).all()
+        assert (pruned[~kept] == 0.0).all() and not np.signbit(pruned[~kept]).any()
+
+
+def test_pruned_tensors_copy_each_masked_tensor_once(mini_weights, mini_stats, monkeypatch):
+    masks = prune.prune_masks(mini_weights, mini_stats, preset("wanda"), Unstructured(0.5))
+    made = {}
+    apply = prune.apply_mask
+    monkeypatch.setattr(prune, "apply_mask", lambda w, mask: made.setdefault(id(mask), apply(w, mask)))
+    for name, tensor in prune.pruned_tensors(mini_weights, masks):
+        if name in masks:
+            # The stored layout, as a view of apply_mask's copy: no second copy.
+            assert tensor.flags.c_contiguous and tensor.base is made[id(masks[name])]
+        else:
+            assert tensor is mini_weights.tensors[name]
+
+
 def test_apply_mask_shape_mismatch():
     with pytest.raises(ValueError):
         apply_mask(np.ones((2, 3)), Mask(bits=np.ones((2, 2), dtype=bool)))
