@@ -6,6 +6,11 @@ slots between parents, and mutation resamples a slot to one of its 6 other
 codes. Fitness values are memoized by config: serving a duplicate from the
 memo never consumes budget, but every candidate considered is logged, so the
 trial log may contain repeated configs with bit-identical fitness.
+
+Search draws come from _Pcg64, a pure-Python PCG64 whose stream equals
+numpy's default_rng(seed) for the three draws the search makes, so a search
+process never loads numpy.random (about 5.5 MB of resident memory) and its
+configs do not move with numpy's Generator algorithms.
 """
 
 from dataclasses import dataclass
@@ -22,6 +27,109 @@ P_CROSSOVER = 0.9
 P_MUTATION = 0.25  # per slot
 PATIENCE = 5  # generations without a new best before stopping
 
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _check_seed(seed) -> None:
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"seed must be an int >= 0, got {seed!r}")
+
+
+def _seed_sequence_state(seed: int) -> list[int]:
+    """numpy's SeedSequence(seed).generate_state(8, np.uint32): the seed's
+    32-bit words, least significant first, hash-mixed into a pool of four."""
+    entropy = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        entropy.append(seed & _MASK32)
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = 0x8B51F9DD
+    state = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        value = value * hash_const & _MASK32
+        state.append(value ^ value >> 16)
+    return state
+
+
+class _Pcg64:
+    """numpy's default_rng(seed) for random(), scalar integers(low, high) and
+    permutation(n): the same PCG64 (XSL-RR) stream, seeding and draw
+    algorithms, so these calls return the same values and consume the stream
+    alike."""
+
+    def __init__(self, seed: int):
+        words = _seed_sequence_state(seed)
+        s_hi, s_lo, inc_hi, inc_lo = (words[i] | words[i + 1] << 32 for i in range(0, 8, 2))
+        self._inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        self._state = 0
+        self._next64()
+        self._state = (self._state + (s_hi << 64 | s_lo)) & _MASK128
+        self._next64()
+        self._high: int | None = None  # the unused half of the last 64-bit output
+
+    def _next64(self) -> int:
+        state = self._state = (self._state * _PCG_MULTIPLIER + self._inc) & _MASK128
+        value, rot = ((state >> 64) ^ state) & _MASK64, state >> 122
+        return (value >> rot | value << (64 - rot)) & _MASK64
+
+    def _next32(self) -> int:
+        if self._high is not None:
+            value, self._high = self._high, None
+            return value
+        value = self._next64()
+        self._high = value >> 32
+        return value & _MASK32
+
+    def random(self) -> float:
+        return (self._next64() >> 11) * 2.0**-53
+
+    def integers(self, low: int, high: int) -> int:
+        """Lemire's bounded draw on 32-bit outputs, for 0 < high - low < 2**32."""
+        n = high - low
+        if n == 1:
+            return low
+        m = self._next32() * n
+        if m & _MASK32 < n:
+            threshold = ((1 << 32) - n) % n
+            while m & _MASK32 < threshold:
+                m = self._next32() * n
+        return low + (m >> 32)
+
+    def permutation(self, n: int) -> list[int]:
+        """Fisher-Yates from the end, each index a masked-rejection 32-bit draw."""
+        out = list(range(n))
+        for i in range(n - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            while (j := self._next32() & mask) > i:
+                pass
+            out[i], out[j] = out[j], out[i]
+        return out
+
 
 @dataclass(frozen=True)
 class SearchParams:
@@ -30,6 +138,7 @@ class SearchParams:
     seed: int = 0
 
     def __post_init__(self):
+        _check_seed(self.seed)
         if self.population < 2 or self.population % 2 != 0:
             raise ValueError(f"population must be even and >= 2, got {self.population}")
         if self.budget < self.population:
@@ -57,7 +166,7 @@ def uniform_crossover(p1, p2, rng) -> tuple[tuple, tuple]:
     """Uniform crossover over slots: each slot of the first child comes from
     either parent with probability 1/2, and the second child takes the other
     parent's code in that slot."""
-    swap = rng.random(GENE_COUNT) < 0.5
+    swap = [rng.random() < 0.5 for _ in range(GENE_COUNT)]
     c1 = tuple(b if s else a for a, b, s in zip(p1, p2, swap))
     c2 = tuple(a if s else b for a, b, s in zip(p1, p2, swap))
     return c1, c2
@@ -141,7 +250,7 @@ def _initial_population(rng, population: int) -> list[tuple]:
     genomes: list[tuple] = []
     seen: set[tuple] = set()
     while len(genomes) < population:
-        genome = tuple(rng.integers(0, 7, size=GENE_COUNT).tolist())
+        genome = tuple(int(rng.integers(0, 7)) for _ in range(GENE_COUNT))
         key = mask_equivalence_key(genome)
         if key in seen:
             continue
@@ -151,10 +260,9 @@ def _initial_population(rng, population: int) -> list[tuple]:
 
 
 def _tournament(fitnesses: list[float], rng) -> int:
-    a, b = rng.integers(0, len(fitnesses), size=2)
-    if fitnesses[a] <= fitnesses[b]:
-        return int(a)
-    return int(b)
+    a = int(rng.integers(0, len(fitnesses)))
+    b = int(rng.integers(0, len(fitnesses)))
+    return a if fitnesses[a] <= fitnesses[b] else b
 
 
 def _escape_duplicate(child: tuple, taken: set, population: list[tuple]) -> tuple:
@@ -191,8 +299,12 @@ def nsga2_search(ctx: EvalContext, params: SearchParams) -> SearchResult:
     (tests/search_quality.py: models 42-50 x {0.5, 2:4} x seeds 1-10, budget
     350) it hits the oracle in 168 of 180 runs with 36,375 evaluations, where
     a uniform draw of as many distinct mask classes would hit in 87.4.
+
+    The draws come from the package's own PCG64 (_Pcg64), whose stream equals
+    numpy's default_rng(params.seed) for these draws, so the search process
+    does not load numpy.random.
     """
-    rng = np.random.default_rng(params.seed)
+    rng = _Pcg64(params.seed)
     log = _TrialLog(ctx, params.budget)
 
     genomes = _initial_population(rng, params.population)
@@ -235,10 +347,16 @@ def nsga2_search(ctx: EvalContext, params: SearchParams) -> SearchResult:
 
 def random_search(ctx: EvalContext, budget: int, seed: int) -> SearchResult:
     """A seeded permutation of the mask classes (metric.CLASS_CODES) cut to the
-    budget, in one resolve call: a budget of 441 or more reaches the oracle."""
+    budget, in one resolve call: a budget of 441 or more reaches the oracle.
+
+    The permutation comes from the package's own PCG64 (_Pcg64) and equals
+    numpy's default_rng(seed).permutation(441), so the search process does
+    not load numpy.random. The seed must be an int >= 0.
+    """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    order = np.random.default_rng(seed).permutation(MASK_CLASS_COUNT)[:budget]
+    _check_seed(seed)
+    order = _Pcg64(seed).permutation(MASK_CLASS_COUNT)[:budget]
     log = _TrialLog(ctx, budget)
     log.resolve([MetricConfig.from_codes(CLASS_CODES[i]) for i in order])
     return log.result("random", seed)

@@ -11,8 +11,9 @@ gives the hits and the evaluations the ten runs used, and the last row the
 totals. The random column is the hits expected from a uniform draw of as
 many distinct mask classes: with k of the 441 classes within 1.001x of the
 oracle, a run of b evaluations adds 1 - C(441-k, b)/C(441, b). It is
-reported, not gated. The oracle fills the context's divergence cache, so the
-searches only mask; their results are the same as on a cold context.
+reported, not gated. The context keeps no fitness between calls, so each
+search masks and scores its own configs again, including those the oracle
+already scored; the cost column counts those evaluations all the same.
 """
 
 from math import comb

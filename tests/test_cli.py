@@ -305,6 +305,36 @@ def test_calibration_below_the_threshold_stays_in_process(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_search_never_loads_numpy_random(micro_files):
+    # The search draws from its own PCG64. A finder that refuses numpy.random
+    # is inherited by the forked --jobs 2 workers, so an import there fails
+    # the command too.
+    if subprocess.run([sys.executable, "-c", "import sys, numpy; sys.exit('numpy.random' in sys.modules)"]).returncode:
+        pytest.skip("importing numpy loads numpy.random")
+    script = """if True:
+        import sys
+        class Refuse:
+            def find_spec(self, name, path=None, target=None):
+                if name == "numpy.random":
+                    raise ImportError("numpy.random is refused")
+        sys.meta_path.insert(0, Refuse())
+        from prunesearch import objective
+        from prunesearch.cli import run
+        objective._usable_cpus = lambda: 2
+        for algo in ("nsga2", "random"):
+            for jobs in ("1", "2"):
+                argv = ["search", "--model", %r, "--calib", %r, "--sparsity", "0.5", "--algo", algo,
+                        "--budget", "16", "--pop", "8", "--seed", "3", "--jobs", jobs, "--out", algo + jobs + ".json"]
+                assert run(argv) == 0, argv
+        assert "numpy.random" not in sys.modules
+    """ % (str(micro_files["model"]), str(micro_files["calib"]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(Path(prunesearch.__file__).parent.parent),
+                                                                     os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=micro_files["dir"], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_calibration_worker_that_dies_exits_2_with_one_line(ragged_files, monkeypatch, capsys):
     parent, forward = os.getpid(), objective.forward
 

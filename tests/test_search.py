@@ -10,6 +10,7 @@ from prunesearch.search import (
     SearchParams,
     _escape_duplicate,
     _initial_population,
+    _Pcg64,
     all_configs,
     environmental_selection,
     exhaustive_search,
@@ -22,6 +23,27 @@ from prunesearch.search import (
 
 def _random_genome(rng) -> tuple:
     return tuple(rng.integers(0, 7, size=GENE_COUNT).tolist())
+
+
+def test_pcg64_stream_equals_numpy_default_rng():
+    # One, three or five integers(0, n) draws between doubles: an odd count
+    # leaves the high half of a 64-bit output buffered for the next 32-bit
+    # draw, and random() must not consume it. At n = 2**31 + 1 half the
+    # 32-bit outputs are rejected by Lemire's threshold.
+    for seed in [*range(300), 2**32 + 5, 2**63, 2**64 + 7, 2**97 + 12345]:
+        ours, reference = _Pcg64(seed), np.random.default_rng(seed)
+        for round_ in range(12):
+            for n in (6, 7, 24, 441, 2**31 + 1):
+                for _ in range(2 * (round_ % 3) + 1):
+                    assert ours.integers(0, n) == reference.integers(0, n), (seed, round_, n)
+                assert ours.random() == reference.random(), (seed, round_, n)
+
+
+def test_pcg64_permutation_equals_numpy_default_rng():
+    for seed in range(50):
+        ours, reference = _Pcg64(seed), np.random.default_rng(seed)
+        assert ours.permutation(MASK_CLASS_COUNT) == reference.permutation(MASK_CLASS_COUNT).tolist(), seed
+        assert ours.random() == reference.random(), seed
 
 
 def test_uniform_crossover_children_are_complementary():
@@ -43,8 +65,9 @@ def test_uniform_crossover_of_equal_parents_returns_them():
 
 
 def test_uniform_crossover_swaps_the_slots_of_its_one_draw():
-    # One rng.random(4) draw decides the swaps: child 1 takes the second
-    # parent's code where the draw is below 1/2.
+    # Four scalar rng.random() draws, one per slot, decide the swaps: child 1
+    # takes the second parent's code where the draw is below 1/2. numpy's
+    # random(4) consumes its stream as those four calls do.
     p1, p2 = (0, 1, 2, 3), (6, 5, 4, 3)
     for seed in range(40):
         rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -132,8 +155,9 @@ class TestResampleMutation:
 
 class TestInitialPopulation:
     def test_draws_four_codes_per_try_and_skips_known_classes(self):
-        # The reference redraws exactly as the search should: one
-        # integers(0, 7, size=4) per try, kept when its mask class is new.
+        # The reference redraws exactly as the search should: four scalar
+        # integers(0, 7) draws per try (numpy's integers(0, 7, size=4)
+        # consumes its stream alike), kept when the mask class is new.
         for seed, population in ((0, 2), (1, 24), (2, 200)):
             rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
             expected, seen = [], set()
@@ -301,6 +325,14 @@ class TestRandomSearch:
     def test_budget_validation(self, mini_ctx):
         with pytest.raises(ValueError):
             random_search(mini_ctx, budget=0, seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.0, "3", None, np.int64(3)])
+def test_a_seed_that_is_not_an_int_at_least_0_is_rejected(mini_ctx, seed):
+    with pytest.raises(ValueError, match="seed"):
+        SearchParams(seed=seed)
+    with pytest.raises(ValueError, match="seed"):
+        random_search(mini_ctx, budget=5, seed=seed)
 
 
 def test_exhaustive_is_sorted_and_complete(mini_ctx):
