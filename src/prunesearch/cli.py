@@ -231,18 +231,18 @@ def _cmd_eval(args) -> int:
 
 
 def _scored(args, search):
-    """search(ctx) on the context of --model, --calib and --sparsity, scored on
-    --jobs workers; the context is freed on return, before results are written."""
+    """search(evaluate) on the context of --model, --calib and --sparsity,
+    scored on --jobs workers; the context is freed before results are written."""
     ctx = make_context(storage.read_model(args.model), storage.read_calib(args.calib), args.sparsity)
-    with scoring_workers(ctx, args.jobs) as ctx:
-        return search(ctx)
+    with scoring_workers(ctx, args.jobs) as evaluate:
+        return search(evaluate)
 
 
 def _cmd_search(args) -> int:
-    def search(ctx):
+    def search(evaluate):
         if args.algo == "nsga2":
-            return nsga2_search(ctx, SearchParams(population=args.pop, budget=args.budget, seed=args.seed))
-        return random_search(ctx, args.budget, args.seed)
+            return nsga2_search(evaluate, SearchParams(population=args.pop, budget=args.budget, seed=args.seed))
+        return random_search(evaluate, args.budget, args.seed)
 
     result = _scored(args, search)
     storage.write_results(result, args.out, _csv_sibling(args.out))

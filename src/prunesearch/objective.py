@@ -9,9 +9,10 @@ needed while a pruned one is scored against it.
 """
 
 import contextlib
+import functools
 import os
-from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, replace
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -150,13 +151,10 @@ class EvalContext:
     """Shared inputs for scoring candidate configs, made once and never
     written: the dense hidden cache and activation stats are reused for every
     candidate, and no fitness is stored here (evaluate_configs keeps its mask
-    sets for one call only). `workers`, set only inside scoring_workers, is
-    the process pool that masks and scores the configs, in at most `shards`
-    (its worker count) shards per evaluate_configs call. Without workers the
-    configs are masked and scored in this process. `weights` is the model
-    widened to float64 once by make_context: the context runs a forward per
-    sequence per mask set scored, and each forward of float32 weights would
-    widen every matrix it multiplies.
+    sets for one call only). `weights` is the model widened to float64 once
+    by make_context: the context runs a forward per sequence per mask set
+    scored, and each forward of float32 weights would widen every matrix it
+    multiplies.
     """
 
     weights: ModelWeights
@@ -164,8 +162,6 @@ class EvalContext:
     dense_hidden: list[np.ndarray]
     calib: CalibrationSet
     spec: SparsitySpec
-    workers: "Executor | None" = None
-    shards: int = 1
 
 
 def make_context(weights: ModelWeights, calib: CalibrationSet, spec: SparsitySpec) -> EvalContext:
@@ -252,27 +248,35 @@ def _per_sequence(task, calib: CalibrationSet, config: ModelConfig) -> Iterable:
 
 
 @contextlib.contextmanager
-def scoring_workers(ctx: EvalContext, jobs: int) -> Iterator[EvalContext]:
-    """ctx, with its configs masked and scored on worker_count(jobs, usable
-    CPUs) processes while the block runs.
+def scoring_workers(ctx: EvalContext, jobs: int) -> Iterator[Callable[[Sequence[MetricKind]], list[float]]]:
+    """The fitness function of ctx, evaluate_configs(ctx, kinds), run on
+    worker_count(jobs, usable CPUs) processes while the block runs.
 
-    With one worker ctx itself is yielded, and each mask set scored forks a
-    calibration pool if its divergence pass holds POOL_MIN_MACS multiply-adds
-    (below that nothing is forked). Otherwise the yielded context shares ctx's
-    inputs and carries a _fork_pool and its worker count. The workers inherit
-    ctx, and each task is one shard of an evaluate_configs call, a list of
-    kinds that the worker masks and scores with evaluate_configs on its own
-    copy of ctx; each result is one float per kind. A task depends only on
-    ctx and its shard: a worker keeps nothing from one task to the next, and
-    the parent masks nothing. A worker runs the divergence passes of its
-    tasks itself: _per_sequence forks no pool inside a pool.
+    With one worker it is functools.partial(evaluate_configs, ctx), and each
+    mask set scored forks a calibration pool if its divergence pass holds
+    POOL_MIN_MACS multiply-adds (below that nothing is forked). Otherwise the
+    yielded function deals the distinct kinds of each call, by _deal, into one
+    shard per worker at most, and maps the shards over a _fork_pool whose
+    workers inherit ctx. A worker masks and scores its shard with
+    evaluate_configs on its own copy of ctx and sends back one float per
+    kind. A task depends only on ctx and its shard: a worker keeps nothing
+    from one task to the next, and the parent masks nothing. A worker runs
+    the divergence passes of its tasks itself: _per_sequence forks no pool
+    inside a pool.
     """
     workers = worker_count(jobs, _usable_cpus())
     if workers == 1:
-        yield ctx
+        yield functools.partial(evaluate_configs, ctx)
         return
     with _fork_pool("scoring", workers, lambda shard: evaluate_configs(ctx, shard)) as pool:
-        yield replace(ctx, workers=pool, shards=workers)
+        def evaluate(kinds: Sequence[MetricKind]) -> list[float]:
+            fitness: dict[MetricKind, float] = {}
+            shards = _deal(list(dict.fromkeys(kinds)), workers)
+            for shard, fits in zip(shards, pool.map(_run_task, shards)):
+                fitness.update(zip(shard, fits))
+            return [fitness[kind] for kind in kinds]
+
+        yield evaluate
 
 
 def _score(ctx: EvalContext, packed: bytes) -> float:
@@ -297,28 +301,24 @@ def _deal(kinds: Sequence[MetricKind], shards: int) -> list[list[MetricKind]]:
 
 def evaluate_configs(ctx: EvalContext, kinds: Sequence[MetricKind]) -> list[float]:
     """Fitness (the float divergence gives) of each kind, in input order;
-    pure in (ctx, kinds).
+    pure in (ctx, kinds). Bound to ctx (scoring_workers), this is the
+    fitness function the searches take.
 
-    On a context with workers the distinct kinds are dealt by _deal into
-    one shard per worker at most, and each worker runs this function on its
-    shard in its own process; nothing is masked here.
-    Otherwise the distinct kinds are masked together by packed_mask_sets
-    (one weight factor and a few stacked build_mask calls per (alpha, f1)
-    group and sub-module) and grouped by their packed mask set. Once masking
-    ends, so the masking stacks are gone before the first forward, each set
-    is unpacked, applied to a pruned copy and run through divergence: one
-    divergence per distinct mask set per call, and nothing outlives the
-    call. Identical masks give identical pruned weights, so a mask set
-    scored again, in a later call or in another worker's shard, gives the
-    same float. Search budgets count configs, not forwards.
+    The distinct kinds are masked together by packed_mask_sets (one weight
+    factor and a few stacked build_mask calls per (alpha, f1) group and
+    sub-module, more only where MAX_SCORES_PER_CALL splits a group) and
+    grouped by their packed mask set. Once masking ends, so the masking
+    stacks are gone before the first forward, each set is unpacked, applied
+    to a pruned copy and run through divergence: one divergence per distinct
+    mask set per call (434 of the 2401 configs at the 2-layer fixture at
+    0.5). The call holds about params/8 bytes per distinct mask set until
+    its last set is scored, and nothing outlives it. Identical masks give
+    identical pruned weights, so a mask set scored again, in a later call or
+    in another worker's shard, gives the same float. Search budgets count
+    configs, not forwards.
     """
     distinct = list(dict.fromkeys(kinds))
     fitness: dict[MetricKind, float] = {}
-    if ctx.workers is not None:
-        shards = _deal(distinct, ctx.shards)
-        for shard, fits in zip(shards, ctx.workers.map(_run_task, shards)):
-            fitness.update(zip(shard, fits))
-        return [fitness[kind] for kind in kinds]
     by_set: dict[bytes, list[MetricKind]] = {}
     for i, packed in packed_mask_sets(ctx.weights, ctx.stats, distinct, ctx.spec):
         by_set.setdefault(packed, []).append(distinct[i])

@@ -3,9 +3,12 @@
 A genome is a config's four codes (alpha, beta, f1, f2), each one of 7
 unordered choices, so variation is categorical: uniform crossover swaps whole
 slots between parents, and mutation resamples a slot to one of its 6 other
-codes. Fitness values are memoized by config: serving a duplicate from the
-memo never consumes budget, but every candidate considered is logged, so the
-trial log may contain repeated configs with bit-identical fitness.
+codes. Every search takes its fitness function, `evaluate`, which maps a
+list of configs to one float each (objective.scoring_workers yields the
+divergence one; a table of known values serves as well). Fitness values are
+memoized by config: serving a duplicate from the memo never consumes budget,
+but every candidate considered is logged, so the trial log may contain
+repeated configs with bit-identical fitness.
 
 Search draws come from _Pcg64, a pure-Python PCG64 whose stream equals
 numpy's default_rng(seed) for the three draws the search makes, so a search
@@ -13,12 +16,14 @@ process never loads numpy.random (about 5.5 MB of resident memory) and its
 configs do not move with numpy's Generator algorithms.
 """
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .metric import ALL_CODES, CLASS_CODES, MASK_CLASS_COUNT, SPACE_SIZE, MetricConfig, mask_equivalence_key
-from .objective import EvalContext, evaluate_configs
+
+Fitness = Callable[[Sequence[MetricConfig]], list[float]]
 
 GENE_COUNT = 4
 
@@ -198,8 +203,8 @@ def all_configs() -> list[MetricConfig]:
 class _TrialLog:
     """Budget accounting shared by all search algorithms."""
 
-    def __init__(self, ctx: EvalContext, budget: int):
-        self.ctx = ctx
+    def __init__(self, evaluate: Fitness, budget: int):
+        self.evaluate = evaluate
         self.budget = budget
         self.memo: dict[MetricConfig, float] = {}
         self.trials: list[tuple[int, MetricConfig, float]] = []
@@ -216,14 +221,15 @@ class _TrialLog:
         """Fitness per config, evaluating unseen ones in order while budget remains.
 
         The distinct configs the memo has not seen, in candidate order and cut
-        to the remaining budget, go through one evaluate_configs call. Every
-        config with a known fitness is then appended to the trial log, memo
-        hits included. Returns None for configs left unevaluated because the
+        to the remaining budget, go through one evaluate call, which must
+        return one value per config (a ValueError otherwise). Every config
+        with a known fitness is then appended to the trial log, memo hits
+        included. Returns None for configs left unevaluated because the
         budget ran out.
         """
         unseen = [cfg for cfg in dict.fromkeys(configs) if cfg not in self.memo][: self.remaining]
         if unseen:
-            self.memo.update(zip(unseen, evaluate_configs(self.ctx, unseen)))
+            self.memo.update(zip(unseen, self.evaluate(unseen), strict=True))
         out = [self.memo.get(cfg) for cfg in configs]
         for cfg, value in zip(configs, out):
             if value is not None:
@@ -289,23 +295,25 @@ def _escape_duplicate(child: tuple, taken: set, population: list[tuple]) -> tupl
     return child
 
 
-def nsga2_search(ctx: EvalContext, params: SearchParams) -> SearchResult:
+def nsga2_search(evaluate: Fitness, params: SearchParams) -> SearchResult:
     """Elitist genetic search on config codes: binary tournaments, uniform
     crossover, resampling mutation, (mu+lambda) survivor selection, memoized
-    fitness, early stop on stall.
+    fitness, early stop on stall. Each generation's unseen configs go through
+    one evaluate call.
 
     The population is kept in fitness order, so its first member is the best
-    config found so far. Deterministic given params.seed. On the quality grid
-    (tests/search_quality.py: models 42-50 x {0.5, 2:4} x seeds 1-10, budget
-    350) it hits the oracle in 168 of 180 runs with 36,375 evaluations, where
-    a uniform draw of as many distinct mask classes would hit in 87.4.
+    config found so far. Deterministic given params.seed and a pure evaluate.
+    On the quality grid (tests/search_quality.py: models 42-50 x {0.5, 2:4} x
+    seeds 1-10, budget 350) it hits the oracle in 168 of 180 runs with 36,375
+    evaluations, where a uniform draw of as many distinct mask classes would
+    hit in 87.4.
 
     The draws come from the package's own PCG64 (_Pcg64), whose stream equals
     numpy's default_rng(params.seed) for these draws, so the search process
     does not load numpy.random.
     """
     rng = _Pcg64(params.seed)
-    log = _TrialLog(ctx, params.budget)
+    log = _TrialLog(evaluate, params.budget)
 
     genomes = _initial_population(rng, params.population)
     first = log.resolve([MetricConfig.from_codes(g) for g in genomes])
@@ -345,7 +353,7 @@ def nsga2_search(ctx: EvalContext, params: SearchParams) -> SearchResult:
     return log.result("nsga2", params.seed)
 
 
-def random_search(ctx: EvalContext, budget: int, seed: int) -> SearchResult:
+def random_search(evaluate: Fitness, budget: int, seed: int) -> SearchResult:
     """A seeded permutation of the mask classes (metric.CLASS_CODES) cut to the
     budget, in one resolve call: a budget of 441 or more reaches the oracle.
 
@@ -357,30 +365,21 @@ def random_search(ctx: EvalContext, budget: int, seed: int) -> SearchResult:
         raise ValueError("budget must be >= 1")
     _check_seed(seed)
     order = _Pcg64(seed).permutation(MASK_CLASS_COUNT)[:budget]
-    log = _TrialLog(ctx, budget)
+    log = _TrialLog(evaluate, budget)
     log.resolve([MetricConfig.from_codes(CLASS_CODES[i]) for i in order])
     return log.result("random", seed)
 
 
-def exhaustive_search(ctx: EvalContext) -> SearchResult:
+def exhaustive_search(evaluate: Fitness) -> SearchResult:
     """Evaluate every config once; the trial log is the full table sorted by
     ascending fitness (ties stay in lexicographic code order). This is the
     ground-truth optimum the other algorithms are checked against.
 
     All 2401 configs go through one _TrialLog.resolve, the budget accounting
-    of every search, and so through one evaluate_configs call: 49 (alpha, f1)
-    groups, each masked with one weight factor and one build_mask call per
-    sub-module (more only where MAX_SCORES_PER_CALL splits a group). A pruned
-    copy and its divergence are computed once per distinct mask set of the
-    call (434 of the 2401 configs at the 2-layer fixture at 0.5), while the
-    budget counts all 2401 configs. The call holds about params/8 bytes per
-    distinct mask set until its last set is scored, and the context keeps
-    none. On a context with workers the 2401 configs are dealt as whole mask
-    classes into one shard per worker, each worker masks and scores its
-    shard and holds those bytes for its own sets, and this process masks
-    nothing.
+    of every search, and so through one evaluate call, and the budget counts
+    all 2401 configs.
     """
-    log = _TrialLog(ctx, SPACE_SIZE)
+    log = _TrialLog(evaluate, SPACE_SIZE)
     log.resolve(all_configs())
     ranked = sorted(log.trials, key=lambda trial: trial[2])
     log.trials = [(i, cfg, value) for i, (_, cfg, value) in enumerate(ranked)]

@@ -1,10 +1,12 @@
+import functools
 import re
 
 import pytest
 
 from prunesearch.model import ModelConfig, init_model
-from prunesearch.objective import collect_activation_stats, make_context, synthetic_calibration
+from prunesearch.objective import collect_activation_stats, evaluate_configs, make_context, synthetic_calibration
 from prunesearch.prune import Unstructured
+from prunesearch.search import exhaustive_search
 
 # Small fixture for unit tests: fast (~1 ms per config evaluation) but with
 # every structural property of the real thing (2 layers, 14 sub-modules,
@@ -58,3 +60,17 @@ def mini_stats(mini_weights, mini_calib):
 @pytest.fixture(scope="session")
 def mini_ctx(mini_weights, mini_calib):
     return make_context(mini_weights, mini_calib, Unstructured(0.5))
+
+
+@pytest.fixture(scope="session")
+def mini_oracle(mini_ctx):
+    """The exhaustive table of mini_ctx, scored once per session."""
+    return exhaustive_search(functools.partial(evaluate_configs, mini_ctx))
+
+
+@pytest.fixture(scope="session")
+def mini_fitness(mini_oracle):
+    """mini_ctx's fitness function served from its oracle table, so that
+    search logic runs without a model."""
+    table = {cfg: l_div for _, cfg, l_div in mini_oracle.trials}
+    return lambda configs: [table[cfg] for cfg in configs]

@@ -6,6 +6,7 @@ calibration 8 sequences x 64 tokens (seed 7), unstructured 0.5 unless a
 criterion says otherwise.
 """
 
+import functools
 import json
 import math
 import time
@@ -20,6 +21,7 @@ from prunesearch.model import SUB_MODULES, ModelConfig, forward, init_model, sub
 from prunesearch.objective import (
     collect_activation_stats,
     divergence,
+    evaluate_configs,
     make_context,
     synthetic_calibration,
 )
@@ -220,11 +222,12 @@ def test_criterion_8_monotone_invariance():
 
 
 def test_criterion_9_budget_accounting(fixture_ctx, oracle):
-    sweep = random_search(fixture_ctx, budget=SPACE_SIZE, seed=9)
+    evaluate = functools.partial(evaluate_configs, fixture_ctx)
+    sweep = random_search(evaluate, budget=SPACE_SIZE, seed=9)
     # The table holds repr(l_div), which reads back as the same float.
     exact_min = sweep.best_l_div == oracle["table"]["best"]["l_div"]
 
-    partial = random_search(fixture_ctx, budget=80, seed=9)
+    partial = random_search(evaluate, budget=80, seed=9)
     configs = [cfg for _, cfg, _ in partial.trials]
     no_dup_budget = partial.evaluations_used == len(set(configs)) == 80
 

@@ -574,8 +574,8 @@ def test_read_masks_rejects_non_binary(tmp_path):
         storage.read_masks(path)
 
 
-def test_results_files(tmp_path, mini_ctx):
-    result = nsga2_search(mini_ctx, SearchParams(population=8, budget=16, seed=1))
+def test_results_files(tmp_path, mini_fitness):
+    result = nsga2_search(mini_fitness, SearchParams(population=8, budget=16, seed=1))
     json_path = tmp_path / "result.json"
     csv_path = tmp_path / "result.csv"
     storage.write_results(result, json_path, csv_path)

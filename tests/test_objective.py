@@ -1,3 +1,4 @@
+import functools
 import multiprocessing
 import os
 import tracemalloc
@@ -223,7 +224,7 @@ def test_exhaustive_runs_one_divergence_per_distinct_mask_set(mini_weights, mini
         return divergence(*args)
 
     monkeypatch.setattr(objective, "divergence", counting_divergence)
-    result = exhaustive_search(ctx)
+    result = exhaustive_search(functools.partial(evaluate_configs, ctx))
     assert len(calls) == len(by_mask_set) < SPACE_SIZE
     assert {cfg: value for _, cfg, value in result.trials} == reference  # bit for bit
 
@@ -243,7 +244,7 @@ def test_exhaustive_masks_once_per_group_and_copies_once_per_mask_set(mini_weigh
 
     monkeypatch.setattr(prune, "build_mask", counting_build_mask)
     monkeypatch.setattr(objective, "apply_masks", counting_apply_masks)
-    exhaustive_search(ctx)
+    exhaustive_search(functools.partial(evaluate_configs, ctx))
     # 49 (alpha, f1) groups x 14 sub-modules; no group is split at this width.
     assert len(build_calls) == 49 * 7 * mini_weights.config.n_layers
     assert all(shape[0] == 49 for shape in build_calls)
@@ -276,7 +277,7 @@ def test_worker_scores_are_bit_identical_to_in_process(mini_weights, mini_calib,
 
     monkeypatch.setattr(objective, "_usable_cpus", lambda: 2)
     with scoring_workers(make_context(mini_weights, mini_calib, spec), jobs=2) as pooled:
-        got = evaluate_configs(pooled, kinds)
+        got = pooled(kinds)
         assert len(multiprocessing.active_children()) == 2
     assert multiprocessing.active_children() == []
     assert got == expected
@@ -297,11 +298,16 @@ def test_workers_mask_and_score_whole_class_shards(mini_weights, mini_calib, mon
     # per build_mask call at this width, far fewer than a shard's groups hold.
     monkeypatch.setattr(prune, "MAX_SCORES_PER_CALL", per_call)
     monkeypatch.setattr(objective, "_usable_cpus", lambda: workers)
-    sent = []
+    sent, deal = [], objective._deal
+
+    def recording_deal(distinct, shards):
+        dealt = deal(distinct, shards)
+        sent.extend(dealt)
+        return dealt
+
+    monkeypatch.setattr(objective, "_deal", recording_deal)
     with scoring_workers(make_context(mini_weights, mini_calib, Unstructured(0.5)), jobs=workers) as pooled:
-        pool_map = pooled.workers.map
-        monkeypatch.setattr(pooled.workers, "map", lambda fn, shards: sent.extend(shards) or pool_map(fn, shards))
-        got = evaluate_configs(pooled, kinds)
+        got = pooled(kinds)
     assert got == expected
 
     assert 1 < len(sent) <= workers
@@ -321,7 +327,7 @@ def test_a_pooled_exhaustive_search_holds_no_mask_set_in_the_parent(monkeypatch)
     calib = synthetic_calibration(config.vocab_size, 2, 16, seed=7)
     monkeypatch.setattr(objective, "_usable_cpus", lambda: 2)
     with scoring_workers(make_context(init_model(config, seed=42), calib, Unstructured(0.5)), jobs=2) as pooled:
-        evaluate_configs(pooled, [preset("magnitude")])  # forks the workers before tracing starts
+        pooled([preset("magnitude")])  # forks the workers before tracing starts
         tracemalloc.start()
         try:
             result = exhaustive_search(pooled)
@@ -342,7 +348,7 @@ def test_a_context_retains_nothing_after_a_search():
     ctx = make_context(init_model(config, seed=42), calib, Unstructured(0.5))
     tracemalloc.start()
     try:
-        result = exhaustive_search(ctx)
+        result = exhaustive_search(functools.partial(evaluate_configs, ctx))
         assert len(result.trials) == SPACE_SIZE
         del result
         retained = tracemalloc.get_traced_memory()[0]
@@ -351,9 +357,13 @@ def test_a_context_retains_nothing_after_a_search():
     assert retained < 1_000_000, f"{retained / 1e6:.2f} MB"
 
 
-def test_one_worker_forks_nothing(mini_ctx):
-    with scoring_workers(mini_ctx, jobs=1) as ctx:
-        assert ctx is mini_ctx and ctx.workers is None
+def test_one_worker_forks_nothing(mini_ctx, monkeypatch):
+    monkeypatch.setattr(objective, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(objective, "_fork_pool", lambda role, *args: pytest.fail(f"forked a {role} pool"))
+    with scoring_workers(mini_ctx, jobs=1) as evaluate:
+        assert evaluate.func is evaluate_configs and evaluate.args == (mini_ctx,) and not evaluate.keywords
+        assert evaluate(all_configs()[:60]) == evaluate_configs(mini_ctx, all_configs()[:60])
+        assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("jobs, cpus, expected", [(1, 64, 1), (4, 2, 2), (2, 2, 2), (3, 8, 3), (10**9, 8, 8), (5, 1, 1)])
@@ -396,7 +406,7 @@ def test_a_scoring_worker_forks_no_pool_of_its_own(mini_weights, mini_calib, mon
     _force_calibration_pool(monkeypatch)
     monkeypatch.setattr(objective, "_fork_pool", in_the_parent_only)
     with scoring_workers(ctx, jobs=2) as pooled:
-        assert evaluate_configs(pooled, kinds) == expected
+        assert pooled(kinds) == expected
     assert multiprocessing.active_children() == []
 
 

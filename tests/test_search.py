@@ -1,13 +1,19 @@
+import ast
+import functools
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from prunesearch import search
 from prunesearch.metric import MASK_CLASS_COUNT, MetricConfig, mask_equivalence_key
-from prunesearch.objective import make_context
+from prunesearch.objective import evaluate_configs, make_context
 from prunesearch.prune import Unstructured
 from prunesearch.search import (
     GENE_COUNT,
     P_MUTATION,
     SearchParams,
+    _TrialLog,
     _escape_duplicate,
     _initial_population,
     _Pcg64,
@@ -244,50 +250,54 @@ def test_params_validation():
 
 
 class TestNsga2:
-    def test_budget_equals_population_runs_one_generation(self, mini_ctx):
+    def test_budget_equals_population_runs_one_generation(self, mini_fitness):
         params = SearchParams(population=8, budget=8, seed=5)
-        result = nsga2_search(mini_ctx, params)
+        result = nsga2_search(mini_fitness, params)
         assert len(result.trials) == 8
         assert result.evaluations_used == 8
 
-    def test_same_seed_same_result(self, mini_ctx):
-        a = nsga2_search(mini_ctx, SearchParams(population=8, budget=40, seed=9))
-        b = nsga2_search(mini_ctx, SearchParams(population=8, budget=40, seed=9))
+    def test_same_seed_same_result(self, mini_fitness):
+        a = nsga2_search(mini_fitness, SearchParams(population=8, budget=40, seed=9))
+        b = nsga2_search(mini_fitness, SearchParams(population=8, budget=40, seed=9))
         assert a.trials == b.trials
         assert a.best_config == b.best_config
         assert a.best_l_div == b.best_l_div
 
-    def test_accounting_invariants(self, mini_ctx):
-        result = nsga2_search(mini_ctx, SearchParams(population=8, budget=60, seed=2))
+    def test_accounting_invariants(self, mini_fitness):
+        result = nsga2_search(mini_fitness, SearchParams(population=8, budget=60, seed=2))
         assert result.evaluations_used <= 60
         assert result.best_l_div == min(t[2] for t in result.trials)
         assert result.best_l_div <= result.trials[0][2]
         # trial indices are consecutive
         assert [t[0] for t in result.trials] == list(range(len(result.trials)))
 
-    def test_warm_context_gives_the_same_search(self, mini_weights, mini_calib):
+    def test_warm_context_gives_the_same_search(self, mini_weights, mini_calib, mini_fitness):
+        # The oracle table serves the search the floats a context gives,
+        # warm or fresh, so search tests may run on the table.
         params = SearchParams(population=8, budget=60, seed=2)
-        warm = make_context(mini_weights, mini_calib, Unstructured(0.5))
+        warm = functools.partial(evaluate_configs, make_context(mini_weights, mini_calib, Unstructured(0.5)))
         exhaustive_search(warm)
         a = nsga2_search(warm, params)
-        b = nsga2_search(make_context(mini_weights, mini_calib, Unstructured(0.5)), params)
-        assert a.trials == b.trials
-        assert (a.best_config, a.best_l_div) == (b.best_config, b.best_l_div)
-        assert a.evaluations_used == b.evaluations_used
+        fresh = functools.partial(evaluate_configs, make_context(mini_weights, mini_calib, Unstructured(0.5)))
+        b = nsga2_search(fresh, params)
+        c = nsga2_search(mini_fitness, params)
+        assert a.trials == b.trials == c.trials
+        assert (a.best_config, a.best_l_div) == (b.best_config, b.best_l_div) == (c.best_config, c.best_l_div)
+        assert a.evaluations_used == b.evaluations_used == c.evaluations_used
 
     @pytest.mark.parametrize("seed, budget", [(2, 60), (3, 60), (3, 2401)])
-    def test_every_evaluation_is_a_new_mask_class(self, mini_ctx, seed, budget):
+    def test_every_evaluation_is_a_new_mask_class(self, mini_fitness, seed, budget):
         # The initial draw and the duplicate escape keep the search off mask
         # classes it has already paid for while unexplored ones are at hand.
-        result = nsga2_search(mini_ctx, SearchParams(population=8, budget=budget, seed=seed))
+        result = nsga2_search(mini_fitness, SearchParams(population=8, budget=budget, seed=seed))
         if budget > MASK_CLASS_COUNT:  # the stall stop, not the budget, ends the run
             assert result.evaluations_used < MASK_CLASS_COUNT
         evaluated = {cfg for _, cfg, _ in result.trials}
         assert len(evaluated) == result.evaluations_used
         assert len({mask_equivalence_key(cfg.codes) for cfg in evaluated}) == len(evaluated)
 
-    def test_memoized_duplicates_are_bit_identical(self, mini_ctx):
-        result = nsga2_search(mini_ctx, SearchParams(population=8, budget=60, seed=2))
+    def test_memoized_duplicates_are_bit_identical(self, mini_fitness):
+        result = nsga2_search(mini_fitness, SearchParams(population=8, budget=60, seed=2))
         by_config = {}
         for _, cfg, l_div in result.trials:
             if cfg in by_config:
@@ -296,14 +306,14 @@ class TestNsga2:
 
 
 class TestRandomSearch:
-    def test_deterministic(self, mini_ctx):
-        a = random_search(mini_ctx, budget=20, seed=4)
-        b = random_search(mini_ctx, budget=20, seed=4)
+    def test_deterministic(self, mini_fitness):
+        a = random_search(mini_fitness, budget=20, seed=4)
+        b = random_search(mini_fitness, budget=20, seed=4)
         assert a.trials == b.trials
 
     @pytest.mark.parametrize("budget", [1, 50, 441, 2401])
-    def test_every_trial_is_a_new_mask_class(self, mini_ctx, budget):
-        result = random_search(mini_ctx, budget=budget, seed=6)
+    def test_every_trial_is_a_new_mask_class(self, mini_fitness, budget):
+        result = random_search(mini_fitness, budget=budget, seed=6)
         classes = [mask_equivalence_key(cfg.codes) for _, cfg, _ in result.trials]
         assert len(set(classes)) == len(classes)
         assert result.evaluations_used == len(result.trials) == min(budget, MASK_CLASS_COUNT)
@@ -313,8 +323,8 @@ class TestRandomSearch:
             first.setdefault(mask_equivalence_key(cfg.codes), cfg)
         assert all(first[key] == cfg for key, (_, cfg, _) in zip(classes, result.trials))
 
-    def test_running_best_non_increasing(self, mini_ctx):
-        result = random_search(mini_ctx, budget=40, seed=1)
+    def test_running_best_non_increasing(self, mini_fitness):
+        result = random_search(mini_fitness, budget=40, seed=1)
         best = float("inf")
         mins = []
         for _, _, l_div in result.trials:
@@ -322,23 +332,23 @@ class TestRandomSearch:
             mins.append(best)
         assert mins == sorted(mins, reverse=True)
 
-    def test_budget_validation(self, mini_ctx):
+    def test_budget_validation(self, mini_fitness):
         with pytest.raises(ValueError):
-            random_search(mini_ctx, budget=0, seed=0)
+            random_search(mini_fitness, budget=0, seed=0)
 
 
 @pytest.mark.parametrize("seed", [-1, True, 1.0, "3", None, np.int64(3)])
-def test_a_seed_that_is_not_an_int_at_least_0_is_rejected(mini_ctx, seed):
+def test_a_seed_that_is_not_an_int_at_least_0_is_rejected(mini_fitness, seed):
     with pytest.raises(ValueError, match="seed"):
         SearchParams(seed=seed)
     with pytest.raises(ValueError, match="seed"):
-        random_search(mini_ctx, budget=5, seed=seed)
+        random_search(mini_fitness, budget=5, seed=seed)
 
 
-def test_exhaustive_is_sorted_and_complete(mini_ctx):
+def test_exhaustive_is_sorted_and_complete(mini_oracle, mini_fitness):
     from prunesearch.metric import preset
 
-    oracle = exhaustive_search(mini_ctx)
+    oracle = mini_oracle
     assert len(oracle.trials) == 2401
     values = [v for _, _, v in oracle.trials]
     assert values == sorted(values)
@@ -350,7 +360,7 @@ def test_exhaustive_is_sorted_and_complete(mini_ctx):
         assert preset(name) in by_config
         assert oracle.best_l_div <= by_config[preset(name)]
     # nsga2 can never beat the oracle
-    result = nsga2_search(mini_ctx, SearchParams(population=8, budget=40, seed=3))
+    result = nsga2_search(mini_fitness, SearchParams(population=8, budget=40, seed=3))
     assert result.best_l_div >= oracle.best_l_div
     # mask-equivalent configs tie exactly in the oracle table
     by_key = {}
@@ -359,3 +369,77 @@ def test_exhaustive_is_sorted_and_complete(mini_ctx):
         if key in by_key:
             assert by_key[key] == v
         by_key[key] = v
+    # the table re-served through exhaustive_search is the same table
+    assert exhaustive_search(mini_fitness).trials == oracle.trials
+
+
+def _recording(fitness):
+    """fitness, and the list of the config lists it was called with."""
+    calls = []
+
+    def evaluate(configs):
+        calls.append(list(configs))
+        return fitness(configs)
+
+    return evaluate, calls
+
+
+@pytest.mark.parametrize("algo", ["nsga2", "random"])
+@pytest.mark.parametrize("seed, budget", [(2, 60), (3, 90), (3, 2401)])
+def test_evaluate_gets_distinct_unseen_configs_within_the_budget(mini_fitness, algo, seed, budget):
+    evaluate, calls = _recording(mini_fitness)
+    if algo == "nsga2":
+        result = nsga2_search(evaluate, SearchParams(population=8, budget=budget, seed=seed))
+    else:
+        result = random_search(evaluate, budget, seed)
+    seen = set()
+    for configs in calls:
+        assert configs and len(set(configs)) == len(configs)
+        assert seen.isdisjoint(configs)  # a memo hit never reaches evaluate
+        assert len(configs) <= budget - len(seen)
+        seen.update(configs)
+    assert sum(map(len, calls)) == result.evaluations_used
+    assert seen == {cfg for _, cfg, _ in result.trials}
+
+
+def test_trial_log_serves_repeats_from_its_memo_and_stops_at_the_budget(mini_fitness):
+    a, b, c, d = all_configs()[:4]
+    evaluate, calls = _recording(mini_fitness)
+    log = _TrialLog(evaluate, budget=3)
+    first = log.resolve([a, b, a])
+    assert calls == [[a, b]] and first[0] == first[2] == mini_fitness([a])[0]
+    assert log.resolve([b, c, d, a]) == [*mini_fitness([b, c]), None, first[0]]
+    assert calls == [[a, b], [c]]
+    assert log.resolve([d, a]) == [None, first[0]] and len(calls) == 2
+    assert log.evaluations_used == 3 and len(log.trials) == 7
+
+
+@pytest.mark.parametrize("algo", ["nsga2", "random", "exhaustive"])
+@pytest.mark.parametrize("values", [lambda fits: fits[:-1], lambda fits: [*fits, 0.0]], ids=["too-few", "too-many"])
+def test_a_fitness_function_that_returns_a_wrong_count_is_an_error(mini_fitness, algo, values):
+    # Too few would otherwise leave configs without a fitness, which the log
+    # reports as if the budget had run out.
+    def evaluate(configs):
+        return values(mini_fitness(configs))
+
+    with pytest.raises(ValueError):
+        if algo == "nsga2":
+            nsga2_search(evaluate, SearchParams(population=8, budget=40, seed=1))
+        elif algo == "random":
+            random_search(evaluate, budget=40, seed=1)
+        else:
+            exhaustive_search(evaluate)
+
+
+def test_search_imports_nothing_from_objective():
+    # search takes its fitness as a function: how a config is scored is
+    # objective's alone.
+    imported = set()
+    for node in ast.walk(ast.parse(Path(search.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(part for alias in node.names for part in alias.name.split("."))
+    assert "metric" in imported
+    assert "objective" not in imported and "EvalContext" not in imported
