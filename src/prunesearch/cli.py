@@ -13,10 +13,9 @@ from pathlib import Path
 from . import io as storage
 from .analysis import alignment_discrepancy, distribution_summary, emit_report
 from .metric import PRESET_NAMES, parse_kind
-from .model import ModelConfig, init_model
+from .model import ModelConfig, final_hidden_batch, init_model
 from .objective import (
     collect_activation_stats,
-    dense_hidden_cache,
     divergence,
     make_context,
     ordered_mean,
@@ -224,7 +223,7 @@ def _cmd_eval(args) -> int:
     calib = storage.read_calib(args.calib)
     if pruned_config != dense.config:
         raise ValueError(f"pruned model config {pruned_config} differs from the dense model's {dense.config}")
-    hidden = dense_hidden_cache(dense, calib)
+    hidden = final_hidden_batch(dense, calib)
     del dense
     print(divergence(hidden, storage.read_model(args.pruned), calib))
     return 0

@@ -271,5 +271,7 @@ def forward(weights: ModelWeights, tokens,
 
 
 def final_hidden_batch(weights: ModelWeights, calib) -> list[np.ndarray]:
-    """Final hidden states for every calibration sequence, in input order."""
-    return [forward(weights, seq) for seq in calib.sequences]
+    """Final hidden states for every calibration sequence, in input order: the
+    dense hidden cache, a calibration pass under objective._per_sequence's rule."""
+    from .objective import _per_sequence  # deferred: objective imports this module
+    return list(_per_sequence(lambda i: forward(weights, calib.sequences[i]), calib, weights.config))

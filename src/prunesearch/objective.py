@@ -106,13 +106,6 @@ def token_mean_sqdist(a: np.ndarray, b: np.ndarray) -> float:
     return float((diff * diff).sum(axis=1).mean())
 
 
-def dense_hidden_cache(dense: ModelWeights, calib: CalibrationSet) -> list[np.ndarray]:
-    """final_hidden_batch(dense, calib), one _per_sequence task per sequence:
-    the first pass of `eval`, whose workers send back hidden states."""
-    sequences = calib.sequences
-    return list(_per_sequence(lambda i: forward(dense, sequences[i]), calib, dense.config))
-
-
 def divergence(dense_hidden: list[np.ndarray], pruned: ModelWeights, calib: CalibrationSet) -> float:
     """Mean over sequences of the per-token mean squared hidden-state distance.
 
@@ -149,12 +142,12 @@ def ordered_mean(values: Sequence[float]) -> float:
 @dataclass(frozen=True, eq=False)
 class EvalContext:
     """Shared inputs for scoring candidate configs, made once and never
-    written: the dense hidden cache and activation stats are reused for every
-    candidate, and no fitness is stored here (evaluate_configs keeps its mask
-    sets for one call only). `weights` is the model widened to float64 once
-    by make_context: the context runs a forward per sequence per mask set
-    scored, and each forward of float32 weights would widen every matrix it
-    multiplies.
+    written: the activation stats and the dense hidden cache, two calibration
+    passes (_per_sequence), are reused for every candidate, and no fitness is
+    stored here (evaluate_configs keeps its mask sets for one call only).
+    `weights` is the model widened to float64 once by make_context: the
+    context runs a forward per sequence per mask set scored, and each forward
+    of float32 weights would widen every matrix it multiplies.
     """
 
     weights: ModelWeights
@@ -227,12 +220,14 @@ def _run_task(arg):
 def _per_sequence(task, calib: CalibrationSet, config: ModelConfig) -> Iterable:
     """task(i) for the index i of each calibration sequence, in input order.
 
-    A pass of at least POOL_MIN_MACS multiply-adds checks every sequence
-    against config, then maps the sequences, longest first, over a _fork_pool
-    of the usable CPUs (at most one per sequence). Any other pass runs lazily
-    in this process, where each forward checks its own sequence, and so does
-    any pass in a pool's worker, so that a scoring worker forks no pool of
-    its own.
+    The one rule of every calibration pass: the activation stats, the dense
+    hidden cache (model.final_hidden_batch) and divergence. A pass of at
+    least POOL_MIN_MACS multiply-adds checks every sequence against config,
+    then maps the sequences, longest first, over a _fork_pool of the usable
+    CPUs (at most one per sequence). Any other pass runs lazily in this
+    process, where each forward checks its own sequence, and so does any
+    pass in a pool's worker, so that a scoring worker forks no pool of its
+    own.
     """
     sequences = calib.sequences
     macs = sum(map(len, sequences)) * sum(i * o for i, o in sub_module_shapes(config).values())
@@ -254,15 +249,15 @@ def scoring_workers(ctx: EvalContext, jobs: int) -> Iterator[Callable[[Sequence[
 
     With one worker it is functools.partial(evaluate_configs, ctx), and each
     mask set scored forks a calibration pool if its divergence pass holds
-    POOL_MIN_MACS multiply-adds (below that nothing is forked). Otherwise the
-    yielded function deals the distinct kinds of each call, by _deal, into one
-    shard per worker at most, and maps the shards over a _fork_pool whose
-    workers inherit ctx. A worker masks and scores its shard with
-    evaluate_configs on its own copy of ctx and sends back one float per
-    kind. A task depends only on ctx and its shard: a worker keeps nothing
-    from one task to the next, and the parent masks nothing. A worker runs
-    the divergence passes of its tasks itself: _per_sequence forks no pool
-    inside a pool.
+    POOL_MIN_MACS multiply-adds (_per_sequence's rule, which make_context's
+    passes followed too). Otherwise the yielded function deals the distinct
+    kinds of each call, by _deal, into one shard per worker at most, and maps
+    the shards over a _fork_pool whose workers inherit ctx. A worker masks
+    and scores its shard with evaluate_configs on its own copy of ctx and
+    sends back one float per kind. A task depends only on ctx and its shard:
+    a worker keeps nothing from one task to the next, and the parent masks
+    nothing. A worker runs the divergence passes of its tasks itself:
+    _per_sequence forks no pool inside a pool.
     """
     workers = worker_count(jobs, _usable_cpus())
     if workers == 1:

@@ -38,9 +38,9 @@ _MASK128 = (1 << 128) - 1
 _PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _check_seed(seed) -> None:
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ValueError(f"seed must be an int >= 0, got {seed!r}")
+def _check_int(name: str, value, minimum: int) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
 
 
 def _seed_sequence_state(seed: int) -> list[int]:
@@ -143,11 +143,11 @@ class SearchParams:
     seed: int = 0
 
     def __post_init__(self):
-        _check_seed(self.seed)
-        if self.population < 2 or self.population % 2 != 0:
-            raise ValueError(f"population must be even and >= 2, got {self.population}")
-        if self.budget < self.population:
-            raise ValueError(f"budget ({self.budget}) must be >= population ({self.population})")
+        _check_int("seed", self.seed, 0)
+        _check_int("population", self.population, 2)
+        if self.population % 2 != 0:
+            raise ValueError(f"population must be even, got {self.population}")
+        _check_int("budget", self.budget, self.population)
         if self.population > MASK_CLASS_COUNT:
             # The first generation draws one config from each of `population`
             # distinct mask classes.
@@ -359,11 +359,10 @@ def random_search(evaluate: Fitness, budget: int, seed: int) -> SearchResult:
 
     The permutation comes from the package's own PCG64 (_Pcg64) and equals
     numpy's default_rng(seed).permutation(441), so the search process does
-    not load numpy.random. The seed must be an int >= 0.
+    not load numpy.random. Budget and seed are ints, >= 1 and >= 0.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    _check_seed(seed)
+    _check_int("budget", budget, 1)
+    _check_int("seed", seed, 0)
     order = _Pcg64(seed).permutation(MASK_CLASS_COUNT)[:budget]
     log = _TrialLog(evaluate, budget)
     log.resolve([MetricConfig.from_codes(CLASS_CODES[i]) for i in order])

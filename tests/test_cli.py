@@ -344,7 +344,9 @@ def test_calibration_worker_that_dies_exits_2_with_one_line(ragged_files, monkey
         return forward(*args, **kwargs)
 
     _force_calibration_pool(monkeypatch)
+    # Both bindings: the stats and pruned passes call objective's, the dense pass model's.
     monkeypatch.setattr(objective, "forward", dying_in_worker)
+    monkeypatch.setattr(prunesearch.model, "forward", dying_in_worker)
     capsys.readouterr()
     out, codes = _stats_and_eval(ragged_files, "dead")
     assert codes == [2, 2]
@@ -384,6 +386,7 @@ def test_eval_rejects_a_pruned_model_of_another_config(tmp_path, monkeypatch, ca
         raise AssertionError("eval ran a forward on mismatched models")
 
     monkeypatch.setattr(objective, "forward", no_forward)
+    monkeypatch.setattr(prunesearch.model, "forward", no_forward)
     capsys.readouterr()
     assert run(["eval", "--dense", str(dense), "--pruned", str(other), "--calib", str(calib)]) == 2
     out, err = capsys.readouterr()

@@ -13,7 +13,6 @@ from prunesearch.model import ModelConfig, ModelWeights, final_hidden_batch, for
 from prunesearch.objective import (
     CalibrationSet,
     collect_activation_stats,
-    dense_hidden_cache,
     divergence,
     evaluate_config,
     evaluate_configs,
@@ -378,18 +377,29 @@ def _force_calibration_pool(monkeypatch):
 
 def test_pooled_passes_are_bit_identical_to_the_serial_ones(mini_weights, mini_stats, mini_calib, monkeypatch):
     # eval's two passes: the dense hidden cache, then the pruned model's
-    # divergence against it, each sequence sent back from a worker.
+    # divergence against it, each sequence sent back from a worker; then
+    # make_context's two: the activation stats, then the dense hidden cache.
     pruned, _ = prune_model(mini_weights, mini_stats, preset("ria"), Unstructured(0.5))
-    serial_cache = final_hidden_batch(mini_weights, mini_calib)
+    serial_cache = [forward(mini_weights, seq) for seq in mini_calib.sequences]
     serial = divergence(serial_cache, pruned, mini_calib)
-    assert [h.tobytes() for h in dense_hidden_cache(mini_weights, mini_calib)] == [h.tobytes() for h in serial_cache]
+    assert [h.tobytes() for h in final_hidden_batch(mini_weights, mini_calib)] == [h.tobytes() for h in serial_cache]
+    serial_ctx = make_context(mini_weights, mini_calib, Unstructured(0.5))
     _force_calibration_pool(monkeypatch)
     pools, fork_pool = [], objective._fork_pool
     monkeypatch.setattr(objective, "_fork_pool", lambda role, *args: pools.append(role) or fork_pool(role, *args))
-    cache = dense_hidden_cache(mini_weights, mini_calib)
+    cache = final_hidden_batch(mini_weights, mini_calib)
     assert [h.tobytes() for h in cache] == [h.tobytes() for h in serial_cache]
     assert divergence(cache, pruned, mini_calib) == serial > 0.0
     assert pools == ["calibration", "calibration"] and multiprocessing.active_children() == []
+    pools.clear()
+    ctx = make_context(mini_weights, mini_calib, Unstructured(0.5))
+    assert pools == ["calibration", "calibration"] and multiprocessing.active_children() == []
+    assert [h.tobytes() for h in ctx.dense_hidden] == [h.tobytes() for h in serial_ctx.dense_hidden]
+    assert ctx.stats.keys() == serial_ctx.stats.keys()
+    for key, entry in ctx.stats.items():
+        expected = serial_ctx.stats[key]
+        assert entry.v.tobytes() == expected.v.tobytes() and entry.l1.tobytes() == expected.l1.tobytes()
+        assert entry.token_count == expected.token_count
 
 
 def test_a_scoring_worker_forks_no_pool_of_its_own(mini_weights, mini_calib, monkeypatch):

@@ -345,6 +345,20 @@ def test_a_seed_that_is_not_an_int_at_least_0_is_rejected(mini_fitness, seed):
         random_search(mini_fitness, budget=5, seed=seed)
 
 
+@pytest.mark.parametrize("population", [24.0, True, "24", None, np.int64(24)])
+def test_a_population_that_is_not_an_int_is_rejected(mini_fitness, population):
+    with pytest.raises(ValueError, match="population"):
+        nsga2_search(mini_fitness, SearchParams(population=population))
+
+
+@pytest.mark.parametrize("budget", [100.5, 350.0, True, "350", None, np.int64(350)])
+def test_a_budget_that_is_not_an_int_is_rejected(mini_fitness, budget):
+    with pytest.raises(ValueError, match="budget"):
+        SearchParams(budget=budget)
+    with pytest.raises(ValueError, match="budget"):
+        random_search(mini_fitness, budget, 0)
+
+
 def test_exhaustive_is_sorted_and_complete(mini_oracle, mini_fitness):
     from prunesearch.metric import preset
 
