@@ -44,12 +44,23 @@ class FormatError(ValueError):
     """A file does not match what a writer could have produced."""
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object whose keys are all distinct: json.loads would keep the
+    last value of a repeated key, and no writer repeats one."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise FormatError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _parse_json(data: bytes, what: str):
-    """UTF-8 JSON; any damage is a FormatError. Bad UTF-8, bad JSON and an
-    integer past Python's digit limit are ValueErrors; nesting too deep for
-    the parser is a RecursionError."""
+    """UTF-8 JSON; any damage is a FormatError. Bad UTF-8, bad JSON, a key
+    repeated in one object and an integer past Python's digit limit are
+    ValueErrors; nesting too deep for the parser is a RecursionError."""
     try:
-        return json.loads(data.decode("utf-8"))
+        return json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         raise FormatError(f"{what}: {exc}") from None
 
@@ -314,23 +325,36 @@ def _trial_row(index: int, config, l_div: float) -> dict:
     }
 
 
+# A trial row as the C encoder writes it: sorted keys joined by what indent=2
+# puts between the items of an object nested two deep.
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+
+
 def write_results(result: SearchResult, json_path, csv_path) -> None:
-    """Full trial log as JSON, and a CSV with one row per trial."""
+    """Full trial log as JSON, and a CSV with one row per trial.
+
+    The JSON is the bytes of json.dumps(doc, indent=2, sort_keys=True) plus a
+    newline, written a trial at a time: no row outlives its line, so the
+    table is never held. "trials" sorts last, so its rows close the document.
+    """
     doc = {
         "algorithm": result.algorithm,
         "seed": result.seed,
         "budget": result.budget,
         "evaluations_used": result.evaluations_used,
         "best": _trial_row(0, result.best_config, result.best_l_div) | {"trial": None},
-        "trials": [_trial_row(i, cfg, l_div) for i, cfg, l_div in result.trials],
+        "trials": [],
     }
-    # Streamed: the 2401-trial table is never joined into one string.
-    with open(json_path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
-    with open(csv_path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
+    head, tail = json.dumps(doc, indent=2, sort_keys=True).rsplit("[]", 1)
+    with open(json_path, "w", encoding="utf-8") as json_file, \
+            open(csv_path, "w", encoding="utf-8", newline="") as csv_file:
+        writer = csv.writer(csv_file, lineterminator="\n")
         writer.writerow(RESULT_CSV_COLUMNS)
+        json_file.write(head + "[")
+        sep = "\n    {\n      "
         for i, cfg, l_div in result.trials:
             row = _trial_row(i, cfg, l_div)
+            json_file.write(sep + _ROW_ENCODER.encode(row)[1:-1])
+            sep = "\n    },\n    {\n      "
             writer.writerow([row[col] for col in RESULT_CSV_COLUMNS])
+        json_file.write(("\n    }\n  ]" if result.trials else "]") + tail + "\n")

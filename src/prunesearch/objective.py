@@ -15,6 +15,10 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+# hashlib.blake2b is this same object, but importing hashlib loads OpenSSL's
+# libcrypto, about 3.5 MB of resident memory in every process that scores.
+from _blake2 import blake2b
+
 import numpy as np
 
 from .metric import Magnitude, MetricKind, SubModuleStats, mask_equivalence_key
@@ -144,7 +148,8 @@ class EvalContext:
     """Shared inputs for scoring candidate configs, made once and never
     written: the activation stats and the dense hidden cache, two calibration
     passes (_per_sequence), are reused for every candidate, and no fitness is
-    stored here (evaluate_configs keeps its mask sets for one call only).
+    stored here: evaluate_configs keeps a 16-byte digest per distinct mask
+    set, not the params/8-byte set, and only for one call.
     `weights` is the model widened to float64 once by make_context: the
     context runs a forward per sequence per mask set scored, and each forward
     of float32 weights would widen every matrix it multiplies.
@@ -301,24 +306,27 @@ def evaluate_configs(ctx: EvalContext, kinds: Sequence[MetricKind]) -> list[floa
 
     The distinct kinds are masked together by packed_mask_sets (one weight
     factor and a few stacked build_mask calls per (alpha, f1) group and
-    sub-module, more only where MAX_SCORES_PER_CALL splits a group) and
-    grouped by their packed mask set. Once masking ends, so the masking
-    stacks are gone before the first forward, each set is unpacked, applied
-    to a pruned copy and run through divergence: one divergence per distinct
-    mask set per call (434 of the 2401 configs at the 2-layer fixture at
-    0.5). The call holds about params/8 bytes per distinct mask set until
-    its last set is scored, and nothing outlives it. Identical masks give
-    identical pruned weights, so a mask set scored again, in a later call or
-    in another worker's shard, gives the same float. Search budgets count
-    configs, not forwards.
+    sub-module, more only where MAX_SCORES_PER_CALL splits a group). Each
+    packed mask set is keyed by its 16-byte BLAKE2b digest, and a set whose
+    digest is new is scored as soon as it is yielded: unpacked, applied to a
+    pruned copy and run through divergence. So there is one divergence per
+    distinct mask set per call (434 of the 2401 configs at the 2-layer
+    fixture at 0.5), and the call holds 16 bytes per distinct set, not the
+    set itself; nothing outlives it. Identical masks give identical pruned
+    weights, so a mask set scored again, in a later call or in another
+    worker's shard, gives the same float. Two sets share a float only if they
+    share a digest: bit-identical fitness for identical masks also rests on
+    no 128-bit collision among a call's few thousand digests. Search budgets
+    count configs, not forwards.
     """
     distinct = list(dict.fromkeys(kinds))
     fitness: dict[MetricKind, float] = {}
-    by_set: dict[bytes, list[MetricKind]] = {}
+    by_digest: dict[bytes, float] = {}
     for i, packed in packed_mask_sets(ctx.weights, ctx.stats, distinct, ctx.spec):
-        by_set.setdefault(packed, []).append(distinct[i])
-    for packed, members in by_set.items():
-        fitness.update(dict.fromkeys(members, _score(ctx, packed)))
+        digest = blake2b(packed, digest_size=16).digest()
+        if digest not in by_digest:
+            by_digest[digest] = _score(ctx, packed)
+        fitness[distinct[i]] = by_digest[digest]
     return [fitness[kind] for kind in kinds]
 
 

@@ -335,6 +335,27 @@ def test_search_never_loads_numpy_random(micro_files):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_enumerate_never_loads_hashlib(tmp_path):
+    # evaluate_configs digests each mask set with CPython's _blake2; hashlib
+    # would load OpenSSL's libcrypto, about 3.5 MB of resident memory.
+    # Numpy and multiprocessing do not import it either (numpy.random does,
+    # so the fixture's files are made in this process).
+    assert run(["gen-model", "--out", str(tmp_path / "m.opsh")]) == 0
+    assert run(["gen-calib", "--out", str(tmp_path / "c.jsonl")]) == 0
+    script = """if True:
+        import sys
+        from prunesearch.cli import run
+        assert run(["enumerate", "--model", "m.opsh", "--calib", "c.jsonl", "--sparsity", "0.5",
+                    "--jobs", "1", "--out", "oracle.json"]) == 0
+        assert "hashlib" not in sys.modules
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(Path(prunesearch.__file__).parent.parent),
+                                                                     os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_calibration_worker_that_dies_exits_2_with_one_line(ragged_files, monkeypatch, capsys):
     parent, forward = os.getpid(), objective.forward
 
@@ -447,6 +468,18 @@ def test_prune_group_misalignment_exits_2(tmp_path, capsys):
                 "--sparsity", "2:4", "--out", str(tmp_path / "p.opsh")])
     assert code == 2
     assert "divisible" in capsys.readouterr().err
+
+
+def test_stats_exits_2_on_a_repeated_json_key(micro_files, capsys):
+    # No writer names "tokens" twice; a last-wins parser read this line as
+    # the sequence (4, 5) without a word.
+    micro_files["calib"].write_text('{"tokens":[1,2,3],"tokens":[4,5]}\n')
+    out = micro_files["dir"] / "again.json"
+    assert run(["stats", "--model", str(micro_files["model"]), "--calib", str(micro_files["calib"]),
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "duplicate key 'tokens'" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_magnitude_prune_rejects_stats_of_another_width(micro_files, capsys):

@@ -191,6 +191,25 @@ def test_readers_check_the_kind_before_reading_tensors(tmp_path, mini_weights):
         storage.read_masks(path)
 
 
+def _with_a_repeated_header_key(path) -> None:
+    """Rewrite the container at path with "kind" named twice in its header:
+    first as "masks", then as the writer's own kind, which a last-wins
+    parser would keep."""
+    data = path.read_bytes()
+    (header_len,) = struct.unpack("<I", data[8:12])
+    header = b'{"kind":"masks",' + data[12:12 + header_len][1:]
+    path.write_bytes(data[:8] + struct.pack("<I", len(header)) + header + data[12 + header_len:])
+
+
+def test_container_header_rejects_a_repeated_key(tmp_path, mini_weights):
+    path = tmp_path / "model.opsh"
+    storage.write_model(path, mini_weights)
+    _with_a_repeated_header_key(path)
+    for read in (storage.read_model, storage.read_model_config):
+        with pytest.raises(storage.FormatError, match="bad container header: duplicate key 'kind'"):
+            read(path)
+
+
 # Large enough that the float32 payloads of the whole file (9.5 MB) dwarf
 # the largest tensor (the 4 MB token embedding) and the 1 MB of slack.
 _MEMORY_CONFIG = ModelConfig(vocab_size=4096, d_model=256, n_layers=2, n_heads=4, d_ff=512, max_seq_len=64)
@@ -367,6 +386,14 @@ def test_read_calib_rejects_tokens_beyond_int64(tmp_path):
     assert storage.read_calib(path).sequences == ((2**63 - 1, -(2**63)),)
 
 
+def test_read_calib_rejects_a_repeated_key(tmp_path):
+    # A last-wins parser would read this line as the sequence (4, 5).
+    path = tmp_path / "calib.jsonl"
+    path.write_text('{"tokens": [9]}\n{"tokens":[1,2,3],"tokens":[4,5]}\n')
+    with pytest.raises(storage.FormatError, match="calib.jsonl:2: .*duplicate key 'tokens'"):
+        storage.read_calib(path)
+
+
 # A 1-layer model small enough that names, shapes and the header make up most
 # of the file, so random damage often lands outside the weight payloads.
 _TINY_MODEL = init_model(ModelConfig(4, 2, 1, 1, 2, 2), seed=5)
@@ -535,6 +562,31 @@ def test_read_stats_names_the_field_the_record_rejects(tmp_path, mini_stats):
         storage.read_stats(path)
 
 
+def _json_object(pairs) -> str:
+    return "{" + ", ".join(f"{json.dumps(key)}: {value}" for key, value in pairs) + "}"
+
+
+@pytest.mark.parametrize("where", ["sub-module", "field"])
+def test_read_stats_rejects_a_repeated_key(tmp_path, mini_stats, where):
+    # A sub-module named twice, or a field named twice in one entry: a
+    # last-wins parser would drop the first silently.
+    path = tmp_path / "stats.json"
+    storage.write_stats(path, mini_stats)
+    doc = json.loads(path.read_text())
+    entries = [(key, json.dumps(entry)) for key, entry in doc.items()]
+    if where == "sub-module":
+        entries.append(entries[0])
+        repeated = entries[0][0]
+    else:
+        entry = doc[entries[0][0]]
+        fields = [(field, json.dumps(value)) for field, value in entry.items()]
+        entries[0] = (entries[0][0], _json_object(fields + [("token_count", "1")]))
+        repeated = "token_count"
+    path.write_text(_json_object(entries))
+    with pytest.raises(storage.FormatError, match=f"malformed stats JSON: duplicate key '{repeated}'"):
+        storage.read_stats(path)
+
+
 @pytest.mark.parametrize("field", ["v", "l1"])
 def test_read_stats_rejects_nested_arrays(tmp_path, mini_stats, field):
     path = tmp_path / "stats.json"
@@ -598,19 +650,28 @@ def test_results_files(tmp_path, mini_fitness):
     assert csv2.read_bytes() == csv_path.read_bytes()
 
 
-def test_results_json_is_the_one_shot_dump_of_its_document(tmp_path):
-    # A 2401-trial table with awkward floats: the streamed JSON must be
-    # byte for byte what json.dumps gives for the same document.
-    values = np.random.default_rng(5).lognormal(0.0, 30.0, SPACE_SIZE).tolist()
-    values[:3] = [0.0, 0.1 + 0.2, 5e-324]
-    trials = [(i, cfg, value) for i, (cfg, value) in enumerate(zip(all_configs(), values))]
-    result = SearchResult("exhaustive", trials, trials[0][1], trials[0][2], SPACE_SIZE, None, SPACE_SIZE)
-    json_path = tmp_path / "result.json"
-    storage.write_results(result, json_path, tmp_path / "result.csv")
+@pytest.mark.parametrize("configs", [
+    pytest.param(all_configs(), id="full-table"),
+    pytest.param(all_configs()[5:6], id="one-trial"),
+    pytest.param(all_configs()[:3] * 3 + all_configs()[100:101] * 2, id="repeated-configs"),
+    pytest.param([], id="no-trials"),
+])
+def test_results_json_is_the_one_shot_dump_of_its_document(tmp_path, configs):
+    # Awkward floats: the streamed JSON must be byte for byte what json.dumps
+    # gives for the same document, and the CSV must hold the same rows.
+    values = np.random.default_rng(5).lognormal(0.0, 30.0, len(configs)).tolist()
+    values[:3] = [0.0, 0.1 + 0.2, 5e-324][:len(configs)]
+    trials = [(i, cfg, value) for i, (cfg, value) in enumerate(zip(configs, values))]
+    result = SearchResult("exhaustive", trials, all_configs()[7], 0.5, len(trials), None, SPACE_SIZE)
+    json_path, csv_path = tmp_path / "result.json", tmp_path / "result.csv"
+    # One row is held at a time: the 2401 row dicts of the whole table took 1.4 MB.
+    assert _traced_peak(storage.write_results, result, json_path, csv_path) < 500_000
     written = json_path.read_bytes()
     doc = json.loads(written)
-    assert len(doc["trials"]) == SPACE_SIZE
+    assert len(doc["trials"]) == len(trials)
     assert written == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    rows = csv_path.read_text().splitlines()[1:]
+    assert rows == [",".join(str(row[col]) for col in storage.RESULT_CSV_COLUMNS) for row in doc["trials"]]
 
 
 def test_calibration_ids_checked_at_use_time(tmp_path, mini_weights):

@@ -341,7 +341,9 @@ def test_a_pooled_exhaustive_search_holds_no_mask_set_in_the_parent(monkeypatch)
 
 def test_a_context_retains_nothing_after_a_search():
     # 32 KiB per packed mask set at this width, and about 435 distinct sets:
-    # a context that kept them would hold about 14 MB.
+    # a context that kept them would hold about 14 MB, and so would a call
+    # that keyed its sets by their bits (21 MB peak, against 8 MB with
+    # 16-byte digests and each new set scored as it is built).
     config = ModelConfig(vocab_size=128, d_model=64, n_layers=4, n_heads=4, d_ff=256, max_seq_len=64)
     calib = synthetic_calibration(config.vocab_size, 2, 16, seed=7)
     ctx = make_context(init_model(config, seed=42), calib, Unstructured(0.5))
@@ -350,10 +352,11 @@ def test_a_context_retains_nothing_after_a_search():
         result = exhaustive_search(functools.partial(evaluate_configs, ctx))
         assert len(result.trials) == SPACE_SIZE
         del result
-        retained = tracemalloc.get_traced_memory()[0]
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert retained < 1_000_000, f"{retained / 1e6:.2f} MB"
+    assert peak < 12_000_000, f"{peak / 1e6:.2f} MB"
 
 
 def test_one_worker_forks_nothing(mini_ctx, monkeypatch):
