@@ -133,9 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calib", required=True)
     p.add_argument("--sparsity", type=_flag_type(parse_sparsity), required=True, help=_SPARSITY_HELP)
     p.add_argument("--algo", choices=("nsga2", "random"), default="nsga2")
-    p.add_argument("--budget", type=int, default=350)
-    p.add_argument("--pop", type=int, default=24)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--budget", type=int, default=SearchParams.budget)
+    p.add_argument("--pop", type=int, default=SearchParams.population)
+    p.add_argument("--seed", type=_int_at_least(0), default=SearchParams.seed)
     p.add_argument("--jobs", type=_int_at_least(1), default=1, help=_JOBS_HELP)
     p.add_argument("--out", type=_results_path, required=True, help=_RESULTS_HELP)
     p.set_defaults(func=_cmd_search)

@@ -10,6 +10,7 @@ needed while a pruned one is scored against it.
 
 import contextlib
 import functools
+import operator
 import os
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -49,12 +50,22 @@ class CalibrationSet:
     sequences: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        normalized = tuple(tuple(int(t) for t in seq) for seq in self.sequences)
-        object.__setattr__(self, "sequences", normalized)
+        object.__setattr__(self, "sequences", tuple(tuple(map(_token, seq)) for seq in self.sequences))
         if not self.sequences:
             raise ValueError("empty calibration set")
         if any(len(seq) == 0 for seq in self.sequences):
             raise ValueError("calibration sequences must be non-empty")
+
+
+def _token(t) -> int:
+    """A token id as an int: any integer type but bool (operator.index), so a
+    float or a string is refused rather than truncated or parsed."""
+    try:
+        if not isinstance(t, bool):
+            return operator.index(t)
+    except TypeError:
+        pass
+    raise ValueError(f"calibration token {t!r} is not an integer id")
 
 
 def synthetic_calibration(vocab_size: int, n_sequences: int, seq_len: int, seed: int) -> CalibrationSet:
@@ -63,7 +74,7 @@ def synthetic_calibration(vocab_size: int, n_sequences: int, seq_len: int, seed:
         raise ValueError("vocab_size, n_sequences and seq_len must all be >= 1")
     rng = np.random.default_rng(seed)
     ids = rng.integers(0, vocab_size, size=(n_sequences, seq_len))
-    return CalibrationSet(sequences=tuple(tuple(int(t) for t in row) for row in ids))
+    return CalibrationSet(sequences=tuple(map(tuple, ids)))
 
 
 def collect_activation_stats(weights: ModelWeights, calib: CalibrationSet) -> ActivationStats:

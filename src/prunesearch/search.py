@@ -10,16 +10,16 @@ memoized by config: serving a duplicate from the memo never consumes budget,
 but every candidate considered is logged, so the trial log may contain
 repeated configs with bit-identical fitness.
 
-Search draws come from _Pcg64, a pure-Python PCG64 whose stream equals
-numpy's default_rng(seed) for the three draws the search makes, so a search
-process never loads numpy.random (about 5.5 MB of resident memory) and its
-configs do not move with numpy's Generator algorithms.
+Search draws come from the standard library's random.Random(seed), and
+only through random(), whose sequence Python documents as the same across
+versions: an index below n is int(n * rng.random()). So a search process
+never loads numpy.random (about 5.5 MB of resident memory), and its configs
+do not move with numpy's Generator algorithms.
 """
 
+import random
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-
-import numpy as np
 
 from .metric import ALL_CODES, CLASS_CODES, MASK_CLASS_COUNT, SPACE_SIZE, MetricConfig, mask_equivalence_key
 
@@ -32,108 +32,10 @@ P_CROSSOVER = 0.9
 P_MUTATION = 0.25  # per slot
 PATIENCE = 5  # generations without a new best before stopping
 
-_MASK32 = (1 << 32) - 1
-_MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
-_PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
-
 
 def _check_int(name: str, value, minimum: int) -> None:
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
-
-
-def _seed_sequence_state(seed: int) -> list[int]:
-    """numpy's SeedSequence(seed).generate_state(8, np.uint32): the seed's
-    32-bit words, least significant first, hash-mixed into a pool of four."""
-    entropy = [seed & _MASK32]
-    while seed >> 32:
-        seed >>= 32
-        entropy.append(seed & _MASK32)
-    hash_const = 0x43B0D7E5
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * 0x931E8875 & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
-        return result ^ result >> 16
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    hash_const = 0x8B51F9DD
-    state = []
-    for i in range(8):
-        value = pool[i % 4] ^ hash_const
-        hash_const = hash_const * 0x58F38DED & _MASK32
-        value = value * hash_const & _MASK32
-        state.append(value ^ value >> 16)
-    return state
-
-
-class _Pcg64:
-    """numpy's default_rng(seed) for random(), scalar integers(low, high) and
-    permutation(n): the same PCG64 (XSL-RR) stream, seeding and draw
-    algorithms, so these calls return the same values and consume the stream
-    alike."""
-
-    def __init__(self, seed: int):
-        words = _seed_sequence_state(seed)
-        s_hi, s_lo, inc_hi, inc_lo = (words[i] | words[i + 1] << 32 for i in range(0, 8, 2))
-        self._inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-        self._state = 0
-        self._next64()
-        self._state = (self._state + (s_hi << 64 | s_lo)) & _MASK128
-        self._next64()
-        self._high: int | None = None  # the unused half of the last 64-bit output
-
-    def _next64(self) -> int:
-        state = self._state = (self._state * _PCG_MULTIPLIER + self._inc) & _MASK128
-        value, rot = ((state >> 64) ^ state) & _MASK64, state >> 122
-        return (value >> rot | value << (64 - rot)) & _MASK64
-
-    def _next32(self) -> int:
-        if self._high is not None:
-            value, self._high = self._high, None
-            return value
-        value = self._next64()
-        self._high = value >> 32
-        return value & _MASK32
-
-    def random(self) -> float:
-        return (self._next64() >> 11) * 2.0**-53
-
-    def integers(self, low: int, high: int) -> int:
-        """Lemire's bounded draw on 32-bit outputs, for 0 < high - low < 2**32."""
-        n = high - low
-        if n == 1:
-            return low
-        m = self._next32() * n
-        if m & _MASK32 < n:
-            threshold = ((1 << 32) - n) % n
-            while m & _MASK32 < threshold:
-                m = self._next32() * n
-        return low + (m >> 32)
-
-    def permutation(self, n: int) -> list[int]:
-        """Fisher-Yates from the end, each index a masked-rejection 32-bit draw."""
-        out = list(range(n))
-        for i in range(n - 1, 0, -1):
-            mask = (1 << i.bit_length()) - 1
-            while (j := self._next32() & mask) > i:
-                pass
-            out[i], out[j] = out[j], out[i]
-        return out
 
 
 @dataclass(frozen=True)
@@ -179,11 +81,11 @@ def uniform_crossover(p1, p2, rng) -> tuple[tuple, tuple]:
 
 def resample_mutation(genome, p: float, rng) -> tuple:
     """Each slot, in order, with probability p takes one of its 6 other codes,
-    drawn uniformly."""
+    drawn uniformly by a second random()."""
     out = list(genome)
     for slot in range(GENE_COUNT):
         if rng.random() < p:
-            r = int(rng.integers(0, 6))
+            r = int(6 * rng.random())
             out[slot] = r + (r >= out[slot])
     return tuple(out)
 
@@ -191,8 +93,7 @@ def resample_mutation(genome, p: float, rng) -> tuple:
 def environmental_selection(fitnesses: list[float], keep: int) -> list[int]:
     """Indices of the `keep` best candidates; with one objective this is a
     plain stable sort by fitness (rank dominates, crowding is degenerate)."""
-    order = np.argsort(np.asarray(fitnesses), kind="stable")
-    return [int(i) for i in order[:keep]]
+    return sorted(range(len(fitnesses)), key=fitnesses.__getitem__)[:keep]
 
 
 def all_configs() -> list[MetricConfig]:
@@ -256,7 +157,7 @@ def _initial_population(rng, population: int) -> list[tuple]:
     genomes: list[tuple] = []
     seen: set[tuple] = set()
     while len(genomes) < population:
-        genome = tuple(int(rng.integers(0, 7)) for _ in range(GENE_COUNT))
+        genome = tuple(int(7 * rng.random()) for _ in range(GENE_COUNT))
         key = mask_equivalence_key(genome)
         if key in seen:
             continue
@@ -266,8 +167,8 @@ def _initial_population(rng, population: int) -> list[tuple]:
 
 
 def _tournament(fitnesses: list[float], rng) -> int:
-    a = int(rng.integers(0, len(fitnesses)))
-    b = int(rng.integers(0, len(fitnesses)))
+    a = int(len(fitnesses) * rng.random())
+    b = int(len(fitnesses) * rng.random())
     return a if fitnesses[a] <= fitnesses[b] else b
 
 
@@ -279,10 +180,10 @@ def _escape_duplicate(child: tuple, taken: set, population: list[tuple]) -> tupl
     nothing, so such a child is replaced by the first unexplored single-slot
     variant of the population, which nsga2_search keeps in fitness order
     (best-first sweep). The child is returned unchanged if everything
-    collides. On the quality grid (tests/search_quality.py) this sweep hits
-    the oracle in 168 of 180 runs with 36,375 evaluations; adding two
-    re-mutations of the child ahead of a sweep of the best 12 individuals
-    reads 160 with 36,695.
+    collides. On the quality grid (tests/search_quality.py, seeds 1-10,
+    budget 350) this sweep hits the oracle in 166 of 180 runs with 35,610
+    evaluations; adding two re-mutations of the child ahead of a sweep of the
+    best 12 individuals reads 162 with 36,416.
     """
     if mask_equivalence_key(child) not in taken:
         return child
@@ -304,15 +205,11 @@ def nsga2_search(evaluate: Fitness, params: SearchParams) -> SearchResult:
     The population is kept in fitness order, so its first member is the best
     config found so far. Deterministic given params.seed and a pure evaluate.
     On the quality grid (tests/search_quality.py: models 42-50 x {0.5, 2:4} x
-    seeds 1-10, budget 350) it hits the oracle in 168 of 180 runs with 36,375
+    seeds 1-10, budget 350) it hits the oracle in 166 of 180 runs with 35,610
     evaluations, where a uniform draw of as many distinct mask classes would
-    hit in 87.4.
-
-    The draws come from the package's own PCG64 (_Pcg64), whose stream equals
-    numpy's default_rng(params.seed) for these draws, so the search process
-    does not load numpy.random.
+    hit in 85.7. The draws come from random.Random(params.seed).
     """
-    rng = _Pcg64(params.seed)
+    rng = random.Random(params.seed)
     log = _TrialLog(evaluate, params.budget)
 
     genomes = _initial_population(rng, params.population)
@@ -357,13 +254,14 @@ def random_search(evaluate: Fitness, budget: int, seed: int) -> SearchResult:
     """A seeded permutation of the mask classes (metric.CLASS_CODES) cut to the
     budget, in one resolve call: a budget of 441 or more reaches the oracle.
 
-    The permutation comes from the package's own PCG64 (_Pcg64) and equals
-    numpy's default_rng(seed).permutation(441), so the search process does
-    not load numpy.random. Budget and seed are ints, >= 1 and >= 0.
+    The classes are sorted by one random.Random(seed).random() key each, so a
+    larger budget's order extends a smaller one's. Budget and seed are ints,
+    >= 1 and >= 0.
     """
     _check_int("budget", budget, 1)
     _check_int("seed", seed, 0)
-    order = _Pcg64(seed).permutation(MASK_CLASS_COUNT)[:budget]
+    rng = random.Random(seed)
+    order = sorted(range(MASK_CLASS_COUNT), key=lambda _: rng.random())[:budget]
     log = _TrialLog(evaluate, budget)
     log.resolve([MetricConfig.from_codes(CLASS_CODES[i]) for i in order])
     return log.result("random", seed)

@@ -23,6 +23,7 @@ from prunesearch.cli import build_parser, run
 from prunesearch.metric import PRESET_NAMES
 from prunesearch.model import ModelWeights
 from prunesearch.objective import collect_activation_stats
+from prunesearch.search import SearchParams
 
 MICRO = [
     "--d-model", "8", "--layers", "1", "--heads", "2", "--d-ff", "8",
@@ -102,6 +103,11 @@ def test_number_flags_take_ascii_digits_without_underscores(tmp_path, capsys, fl
     assert run(argv) == 1
     assert f"argument {flag}: " in capsys.readouterr().err
     assert not (tmp_path / "p.opsh").exists()
+
+
+def test_search_flag_defaults_are_the_search_params_defaults():
+    args = build_parser().parse_args(["search", "--model", "m", "--calib", "c", "--sparsity", "0.5", "--out", "r.json"])
+    assert SearchParams(population=args.pop, budget=args.budget, seed=args.seed) == SearchParams()
 
 
 def test_population_above_the_mask_classes_exits_2(micro_files, capsys):
@@ -306,9 +312,9 @@ def test_calibration_below_the_threshold_stays_in_process(tmp_path):
 
 
 def test_search_never_loads_numpy_random(micro_files):
-    # The search draws from its own PCG64. A finder that refuses numpy.random
-    # is inherited by the forked --jobs 2 workers, so an import there fails
-    # the command too.
+    # The search draws from the standard library's random.Random. A finder
+    # that refuses numpy.random is inherited by the forked --jobs 2 workers,
+    # so an import there fails the command too.
     if subprocess.run([sys.executable, "-c", "import sys, numpy; sys.exit('numpy.random' in sys.modules)"]).returncode:
         pytest.skip("importing numpy loads numpy.random")
     script = """if True:

@@ -1,6 +1,7 @@
 import functools
 import multiprocessing
 import os
+import re
 import tracemalloc
 from collections import Counter
 
@@ -31,6 +32,20 @@ def test_calibration_set_validation():
         CalibrationSet(sequences=())
     with pytest.raises(ValueError):
         CalibrationSet(sequences=((1, 2), ()))
+
+
+@pytest.mark.parametrize("token", [1.7, 2.0, "3", True, False, None, np.float64(4.0), np.bool_(True)])
+def test_calibration_set_refuses_a_token_that_is_not_an_integer(token):
+    # Truncating 1.7, parsing "3" or reading True as 1 would change the
+    # calibration text unseen.
+    with pytest.raises(ValueError, match=re.escape(f"token {token!r} ")):
+        CalibrationSet(sequences=((1, 2), (5, token)))
+
+
+def test_calibration_set_takes_any_integer_type_as_a_plain_int():
+    calib = CalibrationSet(sequences=((np.int64(3), np.uint8(4), 5),))
+    assert calib.sequences == ((3, 4, 5),)
+    assert all(type(t) is int for t in calib.sequences[0])
 
 
 def test_synthetic_calibration_deterministic():
